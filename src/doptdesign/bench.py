@@ -7,8 +7,8 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
+from dataclasses import dataclass, field, replace
+from itertools import chain, combinations_with_replacement, islice
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from .model import GENERATORS, Instance, enumerate_space
 from .pricing import Pricer
 
 BRUTE_CAP = 10**7
+BRUTE_CHUNK = 4096  # multisets per batched slogdet
 
 SUITE_COLUMNS = [
     "d",
@@ -55,13 +56,22 @@ def brute_force_dopt(instance: Instance, cap: int = BRUTE_CAP) -> BruteForceResu
     best_logdet = -np.inf
     best_combo = None
     examined = 0
-    for combo in combinations_with_replacement(range(n), k):
-        examined += 1
-        S = outers[list(combo)].sum(axis=0)
+    # lexicographic multisets in chunks; the strict > keeps the first optimum
+    combos = chain.from_iterable(combinations_with_replacement(range(n), k))
+    while True:
+        idx = np.fromiter(islice(combos, BRUTE_CHUNK * k), dtype=np.intp).reshape(-1, k)
+        if not idx.shape[0]:
+            break
+        examined += idx.shape[0]
+        S = outers[idx[:, 0]]
+        for t in range(1, k):
+            S += outers[idx[:, t]]
         sign, ld = np.linalg.slogdet(S)
-        if sign > 0 and ld > best_logdet:
-            best_logdet = ld
-            best_combo = combo
+        ld = np.where(sign > 0, ld, -np.inf)
+        i = int(np.argmax(ld))
+        if ld[i] > best_logdet:
+            best_logdet = ld[i]
+            best_combo = idx[i].tolist()
     design = None
     if best_combo is not None:
         support: dict = {}
@@ -111,9 +121,10 @@ def run_suite(
     rows = []
     for d in d_range:
         for seed in seeds:
-            probe = GENERATORS[variant](d, None, seed)
-            k = k_rule(probe.p)
-            inst = GENERATORS[variant](d, k, seed)
+            inst = GENERATORS[variant](d, None, seed)
+            k = k_rule(inst.p)
+            if k != inst.k:
+                inst = replace(inst, k=k)
             row = {"d": d, "k": k, "seed": seed}
             try:
                 pricer = Pricer(inst.space, inst.model)

@@ -26,6 +26,7 @@ from .pricing import Pricer, PricingResult
 
 TOL_IMPROVE = 1e-9
 RETRY_CAP = 100_000
+SAMPLE_BLOCK = 4096
 
 
 class DegenerateInstanceError(RuntimeError):
@@ -96,36 +97,56 @@ class LocalSearchReport:
         }
 
 
+def _independent(Q: np.ndarray, v: np.ndarray) -> np.ndarray | None:
+    """Unit residual of v against the orthonormal columns Q, if v adds rank."""
+    resid = v - Q @ (Q.T @ v)
+    norm = np.linalg.norm(resid)
+    if norm > 1e-8 * max(1.0, np.linalg.norm(v)):
+        return resid / norm
+    return None
+
+
 def initial_design(instance: Instance, seed: int = 0, retry_cap: int = RETRY_CAP) -> Design:
-    """Rejection-sample a rank-p design of size k, greedy on rank first."""
+    """Rejection-sample a rank-p design of size k, greedy on rank first.
+
+    Samples are drawn in blocks of at most SAMPLE_BLOCK rows; the generator
+    gives the same stream as one draw per sample, and the samples are
+    consumed in order, so the design and the failure after exactly
+    ``retry_cap`` samples are those of a one-at-a-time loop.
+    """
     space, model, k = instance.space, instance.model, instance.k
     rng = make_rng(seed)
     kept: list[tuple[int, ...]] = []
     Q = np.zeros((model.p, 0))
-    rank = 0
     attempts = 0
-    while rank < model.p or len(kept) < k:
+    while Q.shape[1] < model.p or len(kept) < k:
         if attempts >= retry_cap:
             raise DegenerateInstanceError(
                 f"no rank-{model.p} design of size {k} found in {retry_cap} samples; "
                 "the space may be too small or span-deficient"
             )
-        attempts += 1
-        x = rng.integers(0, space.L, size=space.d)
+        n = min(SAMPLE_BLOCK, retry_cap - attempts)
+        attempts += n
+        X = rng.integers(0, space.L, size=(n, space.d))
         if space.fixed_first:
-            x[0] = 1
-        if not space.contains(x):
-            continue
-        if rank < model.p:
-            v = model.evaluate(x).astype(float)
-            resid = v - Q @ (Q.T @ v)
-            norm = np.linalg.norm(resid)
-            if norm > 1e-8 * max(1.0, np.linalg.norm(v)):
-                Q = np.concatenate([Q, (resid / norm)[:, None]], axis=1)
-                rank += 1
-                kept.append(tuple(int(t) for t in x))
-        else:
-            kept.append(tuple(int(t) for t in x))
+            X[:, 0] = 1
+        X = X[space.feasible(X)]
+        while X.shape[0] and Q.shape[1] < model.p:
+            V = model.evaluate_many(X).astype(float)
+            # batched screen with a loose threshold; the scalar test decides
+            R = V - (V @ Q) @ Q.T
+            loose = 0.5e-8 * np.maximum(1.0, np.linalg.norm(V, axis=1))
+            taken = X.shape[0]
+            for i in np.flatnonzero(np.linalg.norm(R, axis=1) > loose):
+                q = _independent(Q, V[i])
+                if q is not None:
+                    Q = np.concatenate([Q, q[:, None]], axis=1)
+                    kept.append(tuple(int(t) for t in X[i]))
+                    taken = i + 1
+                    break
+            X = X[taken:]
+        if Q.shape[1] == model.p:
+            kept.extend(tuple(int(t) for t in x) for x in X[: k - len(kept)])
     support: dict = {}
     for x in kept[:k]:
         support[x] = support.get(x, 0) + 1

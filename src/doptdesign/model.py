@@ -68,21 +68,62 @@ class ExperimentSpace:
                 )
             rows.append((row, _as_fraction(rhs)))
         object.__setattr__(self, "constraints", tuple(rows))
+        # Each row times the LCM of its denominators: an integer row with the
+        # same feasible set.  Plain attributes, not fields, so equality,
+        # hashing and serialization see only the rational constraints.
+        int_rows = []
+        for row, rhs in rows:
+            scale = math.lcm(rhs.denominator, *(c.denominator for c in row))
+            int_rows.append((tuple(int(c * scale) for c in row), int(rhs * scale)))
+        object.__setattr__(self, "_int_rows", tuple(int_rows))
+        # int64 is exact when no in-box row sum or right-hand side can reach
+        # 2**62; larger rows fall back to Python integers.
+        reach = max(
+            (max(sum(abs(c) for c in row) * (self.L - 1), abs(rhs)) for row, rhs in int_rows),
+            default=0,
+        )
+        dtype = np.int64 if reach < 2**62 else object
+        A = np.array([row for row, _ in int_rows], dtype=dtype).reshape(len(int_rows), self.d)
+        b = np.array([rhs for _, rhs in int_rows], dtype=dtype)
+        A.setflags(write=False)
+        b.setflags(write=False)
+        object.__setattr__(self, "_A_int", A)
+        object.__setattr__(self, "_b_int", b)
 
     def contains(self, x: Sequence[int]) -> bool:
-        """Exact membership test (rational arithmetic on the constraints)."""
+        """Exact membership test (integer arithmetic on LCM-scaled rows)."""
         if len(x) != self.d:
             return False
+        x = x.tolist() if isinstance(x, np.ndarray) else list(x)
         if any(int(xi) != xi for xi in x):
             return False
         if any(xi < 0 or xi >= self.L for xi in x):
             return False
         if self.fixed_first and x[0] != 1:
             return False
-        for row, rhs in self.constraints:
-            if sum(c * int(xi) for c, xi in zip(row, x)) > rhs:
+        x = [int(xi) for xi in x]
+        for row, rhs in self._int_rows:
+            if sum(c * xi for c, xi in zip(row, x)) > rhs:
                 return False
         return True
+
+    def feasible(self, X) -> np.ndarray:
+        """Row-wise exact membership of X, shape (n, d) -> bool[n].
+
+        Agrees with ``contains`` on every row.
+        """
+        X = np.asarray(X)
+        if X.ndim != 2 or X.shape[1] != self.d:
+            raise ValueError(f"expected shape (n, {self.d}), got {X.shape}")
+        ok = np.all((X >= 0) & (X < self.L), axis=1)
+        if X.dtype.kind not in "iu":
+            ok &= np.all(X == np.floor(X), axis=1)
+        if self.fixed_first:
+            ok &= X[:, 0] == 1
+        if self._A_int.shape[0]:
+            Xi = X.astype(self._A_int.dtype)
+            ok &= np.all(Xi @ self._A_int.T <= self._b_int, axis=1)
+        return ok
 
     def constraint_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Constraints as float arrays (A, b); empty arrays when unconstrained."""
@@ -117,10 +158,8 @@ def _enumerate_cached(space: ExperimentSpace, cap: int) -> np.ndarray:
         X = np.concatenate([np.ones((grid, 1), dtype=np.int64), digits], axis=1)
     else:
         X = digits
-    A, b = space.constraint_arrays()
-    if A.shape[0]:
-        keep = np.all(X @ A.T <= b + 1e-9, axis=1)
-        X = X[keep]
+    if space.constraints:
+        X = X[space.feasible(X)]
     X.setflags(write=False)
     return X
 
@@ -148,6 +187,9 @@ class MonomialModel:
         if any(e < 0 for row in exps for e in row):
             raise ValueError("exponents must be nonnegative")
         object.__setattr__(self, "exponents", exps)
+        # (factor, exponent) pairs with a nonzero exponent, per monomial
+        terms = tuple(tuple((j, e) for j, e in enumerate(row) if e) for row in exps)
+        object.__setattr__(self, "_terms", terms)
 
     @property
     def d(self) -> int:
@@ -169,31 +211,24 @@ class MonomialModel:
         X = np.asarray(X, dtype=np.int64)
         if X.ndim != 2 or X.shape[1] != self.d:
             raise ValueError(f"expected shape (n, {self.d}), got {X.shape}")
-        cols = []
-        for row in self.exponents:
-            col = np.ones(X.shape[0], dtype=np.int64)
-            for j, e in enumerate(row):
-                if e:
-                    col = col * X[:, j] ** e
-            cols.append(col)
-        return np.stack(cols, axis=1)
+        out = np.ones((X.shape[0], self.p), dtype=np.int64)
+        for i, terms in enumerate(self._terms):
+            for j, e in terms:
+                out[:, i] *= X[:, j] if e == 1 else X[:, j] ** e
+        return out
 
 
 def eval_design_point(model: MonomialModel, x: Sequence[int]) -> np.ndarray:
     """Evaluate every monomial of the model at experiment x."""
     if len(x) != model.d:
         raise ValueError(f"experiment length {len(x)} != d = {model.d}")
-    x = np.asarray(x, dtype=np.int64)
-    if np.any(x < 0):
+    x = np.asarray(x, dtype=np.int64).tolist()
+    if any(v < 0 for v in x):
         raise ValueError("experiment entries must be nonnegative")
-    out = np.empty(model.p, dtype=np.int64)
-    for i, row in enumerate(model.exponents):
-        val = 1
-        for j, e in enumerate(row):
-            if e:
-                val *= int(x[j]) ** e
-        out[i] = val
-    return out
+    return np.array(
+        [math.prod(x[j] ** e for j, e in terms) for terms in model._terms],
+        dtype=np.int64,
+    )
 
 
 def build_full_first_order(d: int) -> MonomialModel:

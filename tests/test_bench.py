@@ -8,7 +8,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
-from doptdesign import bench, model as M
+from doptdesign import bench, local_search, model as M
 
 
 def reference_brute(inst):
@@ -78,6 +78,23 @@ def test_run_suite_records_errors_without_aborting():
 def test_run_suite_k_rule():
     report = bench.run_suite("cardinality", range(5, 6), k_rule=lambda p: p + 2)
     assert report.rows[0]["k"] == 8
+
+
+def test_run_suite_generates_each_instance_once(monkeypatch):
+    calls = []
+    real = M.GENERATORS["cardinality"]
+
+    def counting(d, k, seed):
+        calls.append((d, k, seed))
+        return real(d, k, seed)
+
+    monkeypatch.setitem(bench.GENERATORS, "cardinality", counting)
+    report = bench.run_suite("cardinality", range(4, 6), k_rule=lambda p: p + 2)
+    assert calls == [(4, None, 0), (5, None, 0)]
+    assert [row["k"] for row in report.rows] == [7, 8]
+    # the budget-replaced instance solves like one generated with that budget
+    _, ls_report = local_search.run(real(5, 8, 0), seed=0)
+    assert report.rows[1]["ls_value"] == ls_report.final_logdet
 
 
 def test_suite_report_serialization():

@@ -1,6 +1,7 @@
 """Spaces, models, generators, and instance serialization."""
 
 import json
+from dataclasses import fields
 from fractions import Fraction
 from itertools import product
 
@@ -64,6 +65,107 @@ def test_enumerate_matches_bruteforce_oracle(d, L, rhs, seed):
     space = M.ExperimentSpace(d=d, L=L, constraints=((row, Fraction(rhs)),))
     got = [tuple(x) for x in M.enumerate_space(space)]
     assert got == brute_enumerate(space)
+
+
+def fraction_member(space, x):
+    """Independent oracle: the box, the pin and each row in Fraction arithmetic."""
+    if any(v < 0 or v >= space.L for v in x):
+        return False
+    if space.fixed_first and x[0] != 1:
+        return False
+    return all(
+        sum(c * int(v) for c, v in zip(row, x)) <= rhs for row, rhs in space.constraints
+    )
+
+
+rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7))
+
+
+@given(
+    d=st.integers(1, 4),
+    L=st.integers(2, 3),
+    fixed_first=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_contains_feasible_and_enumerate_agree_on_rational_rows(d, L, fixed_first, data):
+    n_rows = data.draw(st.integers(0, 2))
+    constraints = tuple(
+        (
+            tuple(data.draw(rationals) for _ in range(d)),
+            data.draw(st.builds(Fraction, st.integers(-4, 20), st.integers(1, 7))),
+        )
+        for _ in range(n_rows)
+    )
+    space = M.ExperimentSpace(d=d, L=L, constraints=constraints, fixed_first=fixed_first)
+    grid = list(product(range(L), repeat=d))
+    member = [fraction_member(space, x) for x in grid]
+    assert [space.contains(x) for x in grid] == member
+    assert space.feasible(np.array(grid)).tolist() == member
+    got = [tuple(x) for x in M.enumerate_space(space)]
+    assert got == [x for x, ok in zip(grid, member) if ok]
+
+
+def test_enumerate_agrees_with_contains_just_below_integer_rhs():
+    # x1 + x2 <= 0.999999999999: only the origin; a float slack of 1e-9 let
+    # (0, 1) and (1, 0) into the enumeration while contains rejected them
+    space = M.ExperimentSpace(
+        d=2, L=2, constraints=(((1, 1), Fraction(999999999999, 10**12)),)
+    )
+    assert not space.contains((1, 0)) and not space.contains((0, 1))
+    assert M.enumerate_space(space).tolist() == [[0, 0]]
+
+
+def test_feasible_matches_contains_off_the_grid():
+    space = M.ExperimentSpace(
+        d=2, L=3, constraints=(((Fraction(1, 2), Fraction(1, 3)), Fraction(1)),),
+        fixed_first=True,
+    )
+    X = [(1, 0), (1, 1), (1, 2), (0, 0), (1, 3), (1, -1), (2, 2), (1.5, 0), (1.0, 1.0)]
+    assert space.feasible(np.array(X, dtype=float)).tolist() == [
+        space.contains(x) for x in X
+    ]
+    assert space.feasible(np.array(X[:7])).tolist() == [space.contains(x) for x in X[:7]]
+    with pytest.raises(ValueError):
+        space.feasible(np.zeros((2, 3)))
+
+
+def test_integer_rows_scale_each_row_by_its_denominator_lcm():
+    space = M.ExperimentSpace(
+        d=3,
+        L=2,
+        constraints=(
+            ((Fraction(1, 2), Fraction(1, 3), 1), Fraction(5, 4)),
+            ((2, 0, 1), 3),
+        ),
+    )
+    assert space._A_int.tolist() == [[6, 4, 12], [2, 0, 1]]
+    assert space._b_int.tolist() == [15, 3]
+
+
+def test_huge_rows_stay_exact():
+    # row sums past int64 switch the kernel to Python integers
+    tiny = Fraction(1, 10**18)
+    space = M.ExperimentSpace(
+        d=2, L=3, constraints=(((tiny, Fraction(3, 7)), Fraction(1, 2 * 10**18)),)
+    )
+    grid = list(product(range(3), repeat=2))
+    assert space._A_int.dtype == object
+    member = [fraction_member(space, x) for x in grid]
+    assert member.count(True) == 1
+    assert [space.contains(x) for x in grid] == member
+    assert space.feasible(np.array(grid)).tolist() == member
+
+
+def test_integer_rows_are_not_fields():
+    # equality, hashing and serialization see only the rational constraints
+    inst = M.generate_knapsack_instance(7, seed=1)
+    again = M.instance_from_json(M.instance_to_json(inst))
+    assert again == inst and hash(again.space) == hash(inst.space)
+    assert [f.name for f in fields(M.ExperimentSpace)] == [
+        "d", "L", "constraints", "fixed_first"
+    ]
+    assert M.instance_hash(again) == M.instance_hash(inst)
 
 
 def test_enumerate_is_lexicographic():
