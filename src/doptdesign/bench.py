@@ -134,16 +134,7 @@ def run_suite(
                 row["ls_value"] = ls_report.final_logdet
                 row["ip_calls"] = ls_report.ip_calls
                 row["iterations"] = ls_report.iterations
-                params = cg_params if cg_params is not None else relaxation.CGParams()
-                params = relaxation.CGParams(
-                    delta=params.delta,
-                    epsilon=params.epsilon,
-                    gamma=params.gamma,
-                    seed=seed,
-                    tol_master=params.tol_master,
-                    master_iters=params.master_iters,
-                    max_iters=params.max_iters,
-                )
+                params = replace(cg_params or relaxation.CGParams(), seed=seed)
                 t0 = time.perf_counter()
                 _, cert, _ = relaxation.column_generation(inst, pricer, params)
                 row["cg_time"] = time.perf_counter() - t0

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bench, local_search, model, relaxation
-from .pricing import Pricer
+from .pricing import DoptError, Pricer
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -206,7 +206,6 @@ def _cmd_brute(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="doptdesign", description=__doc__)
-    parser.add_argument("--threads", type=int, default=1, help="worker parallelism")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -266,15 +265,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (local_search.DegenerateInstanceError,) as exc:
+    except (DoptError, ValueError, OSError, KeyError) as exc:
         _emit_error(type(exc).__name__, str(exc))
-        return EXIT_DEGENERATE
-    except (relaxation.ColumnGenerationError, relaxation.MasterConvergenceError) as exc:
-        _emit_error(type(exc).__name__, str(exc))
-        return EXIT_SOFT_FAILURE
-    except (ValueError, OSError, KeyError) as exc:
-        _emit_error(type(exc).__name__, str(exc))
-        return EXIT_USAGE
+        return getattr(exc, "exit_code", EXIT_USAGE)  # solver errors carry their own
 
 
 if __name__ == "__main__":

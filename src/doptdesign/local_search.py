@@ -10,11 +10,13 @@ solve.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
-from .model import Instance, MonomialModel, make_rng
+from .model import ExperimentSpace, Instance, MonomialModel, make_rng
 from .psd_linalg import (
     InfoMatrix,
     RankError,
@@ -22,15 +24,10 @@ from .psd_linalg import (
     pricing_matrix,
     rank_one_downdate,
 )
-from .pricing import Pricer, PricingResult
+from .pricing import DegenerateInstanceError, Pricer, PricingResult, complete_rank
 
 TOL_IMPROVE = 1e-9
-RETRY_CAP = 100_000
 SAMPLE_BLOCK = 4096
-
-
-class DegenerateInstanceError(RuntimeError):
-    """No rank-p design of size k could be sampled from the space."""
 
 
 @dataclass
@@ -97,60 +94,26 @@ class LocalSearchReport:
         }
 
 
-def _independent(Q: np.ndarray, v: np.ndarray) -> np.ndarray | None:
-    """Unit residual of v against the orthonormal columns Q, if v adds rank."""
-    resid = v - Q @ (Q.T @ v)
-    norm = np.linalg.norm(resid)
-    if norm > 1e-8 * max(1.0, np.linalg.norm(v)):
-        return resid / norm
-    return None
-
-
-def initial_design(instance: Instance, seed: int = 0, retry_cap: int = RETRY_CAP) -> Design:
-    """Rejection-sample a rank-p design of size k, greedy on rank first.
-
-    Samples are drawn in blocks of at most SAMPLE_BLOCK rows; the generator
-    gives the same stream as one draw per sample, and the samples are
-    consumed in order, so the design and the failure after exactly
-    ``retry_cap`` samples are those of a one-at-a-time loop.
-    """
-    space, model, k = instance.space, instance.model, instance.k
-    rng = make_rng(seed)
-    kept: list[tuple[int, ...]] = []
-    Q = np.zeros((model.p, 0))
-    attempts = 0
-    while Q.shape[1] < model.p or len(kept) < k:
-        if attempts >= retry_cap:
-            raise DegenerateInstanceError(
-                f"no rank-{model.p} design of size {k} found in {retry_cap} samples; "
-                "the space may be too small or span-deficient"
-            )
-        n = min(SAMPLE_BLOCK, retry_cap - attempts)
-        attempts += n
-        X = rng.integers(0, space.L, size=(n, space.d))
+def _draws(space: ExperimentSpace, rng):
+    """Sampled experiments in blocks of SAMPLE_BLOCK, None for a draw outside the space."""
+    while True:
+        X = rng.integers(0, space.L, size=(SAMPLE_BLOCK, space.d))
         if space.fixed_first:
             X[:, 0] = 1
-        X = X[space.feasible(X)]
-        while X.shape[0] and Q.shape[1] < model.p:
-            V = model.evaluate_many(X).astype(float)
-            # batched screen with a loose threshold; the scalar test decides
-            R = V - (V @ Q) @ Q.T
-            loose = 0.5e-8 * np.maximum(1.0, np.linalg.norm(V, axis=1))
-            taken = X.shape[0]
-            for i in np.flatnonzero(np.linalg.norm(R, axis=1) > loose):
-                q = _independent(Q, V[i])
-                if q is not None:
-                    Q = np.concatenate([Q, q[:, None]], axis=1)
-                    kept.append(tuple(int(t) for t in X[i]))
-                    taken = i + 1
-                    break
-            X = X[taken:]
-        if Q.shape[1] == model.p:
-            kept.extend(tuple(int(t) for t in x) for x in X[: k - len(kept)])
-    support: dict = {}
-    for x in kept[:k]:
-        support[x] = support.get(x, 0) + 1
-    return Design.from_support(model, support, k)
+        for x, ok in zip(X.tolist(), space.feasible(X).tolist()):
+            yield tuple(x) if ok else None
+
+
+def initial_design(instance: Instance, seed: int = 0, pricer: Pricer | None = None) -> Design:
+    """A rank-p design of size k from one sample stream, greedy on rank first.
+
+    ``complete_rank`` keeps the samples that add rank (or proves the space
+    spans less than rank p); the next feasible samples fill the design to k.
+    """
+    draws = _draws(instance.space, make_rng(seed))
+    kept = complete_rank(pricer or Pricer(instance.space, instance.model), [], draws)
+    kept += islice((x for x in draws if x is not None), instance.k - len(kept))
+    return Design.from_support(instance.model, Counter(kept), instance.k)
 
 
 @dataclass(frozen=True)
@@ -260,7 +223,7 @@ def run(
     """Iterate exchange steps until a (proved or inconclusive) local optimum."""
     if pricer is None:
         pricer = Pricer(instance.space, instance.model)
-    design = warm_start if warm_start is not None else initial_design(instance, seed)
+    design = warm_start if warm_start is not None else initial_design(instance, seed, pricer)
     if design.info.rank < instance.p:
         raise DegenerateInstanceError("starting design is rank deficient")
     report = LocalSearchReport()

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 from scipy.optimize import linprog
@@ -23,6 +23,28 @@ DEFAULT_NODE_LIMIT = 10**6
 # Nodes whose LP bound is within this margin of the incumbent are still
 # explored, so LP solver tolerance can never prune the true optimum.
 BOUND_SAFETY = 1e-7
+# Sampled draws in a row without a rank gain before exact pricing takes over
+RANK_STALL = 8192
+
+
+class DoptError(Exception):
+    """Base of the solver errors; ``exit_code`` is the CLI exit status."""
+
+    exit_code = 3  # solver soft failure
+
+
+class DegenerateInstanceError(DoptError, RuntimeError):
+    """The feasible design points span less than rank p."""
+
+    exit_code = 2
+
+
+class EmptySpaceError(DegenerateInstanceError, ValueError):
+    """The experiment space has no feasible point."""
+
+
+class NodeLimitError(DoptError, RuntimeError):
+    """Branch and bound hit its node limit before deciding what was asked."""
 
 
 class EnumerationCapError(ValueError):
@@ -131,7 +153,7 @@ def solve_enum(
         )
     X = enumerate_space(space, cap)
     if X.shape[0] == 0:
-        raise ValueError("feasible set is empty")
+        raise EmptySpaceError("feasible set is empty")
     P = model.evaluate_many(X).astype(float)
     vals = np.einsum("ij,jk,ik->i", P, G, P)
     best = int(np.argmax(vals))  # first argmax = lexicographically smallest
@@ -352,10 +374,6 @@ def solve_bb(
         best_val = quad_value(G, model.evaluate(best_x))
     if target is not None and best_val > target:
         return PricingResult(x=best_x, value=best_val, exact=False, nodes=0)
-    if target == -np.inf:
-        if best_x is None:
-            raise ValueError("target -inf needs an incumbent to return")
-        return PricingResult(x=best_x, value=best_val, exact=False, nodes=0)
 
     base_bounds = [(0.0, 1.0)] * lin.n_vars
     for b, v in lin.fixed_bits.items():
@@ -369,7 +387,7 @@ def solve_bb(
         nodes += 1
         if nodes > node_limit:
             if best_x is None:
-                raise RuntimeError("node limit hit before any feasible point was found")
+                raise NodeLimitError("node limit hit before any feasible point was found")
             return PricingResult(
                 x=best_x, value=best_val, exact=False, nodes=nodes, hit_node_limit=True
             )
@@ -415,7 +433,7 @@ def solve_bb(
             child[branch_bit] = v
             stack.append(child)
     if best_x is None:
-        raise ValueError("feasible set is empty")
+        raise EmptySpaceError("feasible set is empty")
     return PricingResult(x=best_x, value=best_val, exact=True, nodes=nodes)
 
 
@@ -448,3 +466,55 @@ class Pricer:
             target=target,
             node_limit=self.node_limit,
         )
+
+
+def _independent(Q: np.ndarray, v: np.ndarray) -> np.ndarray | None:
+    """Unit residual of v against the orthonormal columns Q, if v adds rank."""
+    resid = v - Q @ (Q.T @ v)
+    norm = np.linalg.norm(resid)
+    if norm > 1e-8 * max(1.0, np.linalg.norm(v)):
+        return resid / norm
+    return None
+
+
+def complete_rank(pricer: Pricer, basis: list, candidates: Iterable) -> list[tuple]:
+    """Experiments that extend span(basis) to rank p, in the order found.
+
+    ``candidates`` yields sampled experiments, None for a draw outside the
+    space; each draw that adds rank is kept, and none is taken past rank p.
+    After RANK_STALL draws in a row without a gain, each step exactly prices
+    G = I - QQ^T (Q an orthonormal basis of the span) at x, the squared
+    residual of p(x); an exact maximum that adds no rank proves degeneracy.
+    """
+    model, p = pricer.model, pricer.model.p
+    Q = np.zeros((p, 0))
+    for x in basis:
+        q = _independent(Q, model.evaluate(x).astype(float))
+        Q = Q if q is None else np.column_stack([Q, q])
+    tested = set(basis)  # a point in the span stays in it
+    added: list[tuple] = []
+    draws = iter(candidates)
+    stall = 0
+    while Q.shape[1] < p:
+        res = None
+        if stall < RANK_STALL:
+            x, stall = next(draws), stall + 1
+            if x is None or x in tested:
+                continue
+            tested.add(x)
+        else:
+            res = pricer.exact(np.eye(p) - Q @ Q.T)
+            x = tuple(int(t) for t in res.x)
+        q = _independent(Q, model.evaluate(x).astype(float))
+        if q is not None:
+            Q = np.column_stack([Q, q])
+            added.append(x)
+            stall = 0 if res is None else stall  # once pricing takes over, it stays
+        elif res is not None and res.exact:
+            raise DegenerateInstanceError(
+                f"the feasible points span rank {Q.shape[1]} < p = {p}: exact pricing "
+                f"of I - QQ^T gives a maximum squared residual of {res.value:.3g}"
+            )
+        elif res is not None:
+            raise NodeLimitError(f"pricing hit its node limit at span rank {Q.shape[1]} < p = {p}")
+    return added

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy.linalg import null_space
 
-from .model import Instance, make_rng
-from .pricing import Pricer
+from .model import ExperimentSpace, Instance, make_rng
+from .pricing import DoptError, Pricer, complete_rank
 
 TOL_MASTER = 1e-7
 MASTER_ITER_CAP = 100_000
@@ -26,11 +27,11 @@ GAMMA = 1e-6
 CG_ITER_CAP = 500
 
 
-class MasterConvergenceError(RuntimeError):
+class MasterConvergenceError(DoptError, RuntimeError):
     """Multiplicative update hit its iteration cap before the leverage test."""
 
 
-class ColumnGenerationError(RuntimeError):
+class ColumnGenerationError(DoptError, RuntimeError):
     """Column generation hit its iteration cap or a pricing hard failure."""
 
 
@@ -237,45 +238,25 @@ class CGParams:
     max_iters: int = CG_ITER_CAP
 
 
-def _random_feasible(instance: Instance, rng, count: int, retry_cap: int = 100_000):
-    space = instance.space
-    out = []
-    attempts = 0
-    while len(out) < count:
-        if attempts >= retry_cap:
-            break
-        attempts += 1
+def _draws(space: ExperimentSpace, rng):
+    """Sampled experiments, None when outside the space; one draw at a time, as the
+    same generator goes on to draw the random columns."""
+    while True:
         x = rng.integers(0, space.L, size=space.d)
         if space.fixed_first:
             x[0] = 1
-        if space.contains(x):
-            out.append(tuple(int(t) for t in x))
-    return out
+        yield tuple(int(t) for t in x) if space.contains(x) else None
 
 
-def _initial_points(instance: Instance, rng, retry_cap: int = 100_000) -> list:
+def _random_feasible(instance: Instance, rng, count: int, retry_cap: int = 100_000):
+    draws = islice(_draws(instance.space, rng), retry_cap)
+    return list(islice((x for x in draws if x is not None), count))
+
+
+def _initial_points(instance: Instance, rng, pricer: Pricer) -> list:
     """2p random feasible experiments plus greedy rank completion."""
-    model = instance.model
-    xs = list(dict.fromkeys(_random_feasible(instance, rng, 2 * model.p)))
-    V = model.evaluate_many(np.array(xs)).astype(float) if xs else np.zeros((0, model.p))
-    rank = np.linalg.matrix_rank(V) if len(xs) else 0
-    attempts = 0
-    while rank < model.p:
-        if attempts >= retry_cap:
-            raise ColumnGenerationError("could not sample a rank-p starting set")
-        attempts += 1
-        cand = _random_feasible(instance, rng, 1)
-        if not cand or cand[0] in xs:
-            continue
-        x = cand[0]
-        v = model.evaluate(x).astype(float)
-        V2 = np.concatenate([V, v[None, :]], axis=0)
-        r2 = np.linalg.matrix_rank(V2)
-        if r2 > rank:
-            xs.append(x)
-            V = V2
-            rank = r2
-    return xs
+    xs = list(dict.fromkeys(_random_feasible(instance, rng, 2 * instance.p)))
+    return xs + complete_rank(pricer, xs, _draws(instance.space, rng))
 
 
 def column_generation(
@@ -298,7 +279,7 @@ def column_generation(
         params = CGParams()
     model, k, p = instance.model, instance.k, instance.p
     rng = make_rng(params.seed)
-    xs = _initial_points(instance, rng)
+    xs = _initial_points(instance, rng, pricer)
     points = model.evaluate_many(np.array(xs)).astype(float)
 
     cd = solve_restricted_master(

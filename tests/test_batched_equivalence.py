@@ -1,9 +1,10 @@
 """Batched integer-side kernels against one-at-a-time reference copies.
 
 The references below are the scalar loops that the batched heuristic, the
-block-sampled initial design and the chunked brute force replaced, with
-membership in Fraction arithmetic.  The batched code must reproduce their
-results exactly: the same points, values, visit counts and failures.
+block-sampled initial design, the shared rank completion and the chunked
+brute force replaced, with membership in Fraction arithmetic.  The new code
+must reproduce their results exactly: the same points, values and visit
+counts.
 """
 
 from fractions import Fraction
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doptdesign import bench, local_search as LS, model as M, pricing
+from doptdesign import relaxation as R
 
 
 def fraction_member(space, x):
@@ -103,6 +105,33 @@ def reference_initial_design(instance, seed, retry_cap):
     for x in kept[:k]:
         support[x] = support.get(x, 0) + 1
     return support, attempts
+
+
+def reference_initial_points(instance, rng):
+    """2p random points, then one feasible draw at a time while rank grows."""
+    space, model = instance.space, instance.model
+
+    def feasible_draws(count):
+        out = []
+        while len(out) < count:
+            x = rng.integers(0, space.L, size=space.d)
+            if space.fixed_first:
+                x[0] = 1
+            if fraction_member(space, x):
+                out.append(tuple(int(t) for t in x))
+        return out
+
+    xs = list(dict.fromkeys(feasible_draws(2 * model.p)))
+    rank = np.linalg.matrix_rank(model.evaluate_many(np.array(xs)))
+    while rank < model.p:
+        (x,) = feasible_draws(1)
+        if x in xs:
+            continue
+        r2 = np.linalg.matrix_rank(model.evaluate_many(np.array(xs + [x])))
+        if r2 > rank:
+            xs.append(x)
+            rank = r2
+    return xs
 
 
 def reference_brute(instance):
@@ -203,31 +232,18 @@ def test_initial_design_matches_one_draw_per_sample(monkeypatch, block):
         monkeypatch.setattr(LS, "SAMPLE_BLOCK", block)
     for inst in _start_instances():
         for seed in range(4):
-            support, _ = reference_initial_design(inst, seed, LS.RETRY_CAP)
+            support, _ = reference_initial_design(inst, seed, 100_000)
             assert LS.initial_design(inst, seed=seed).support == support
 
 
-@pytest.mark.parametrize("block", [None, 7])
-def test_initial_design_fails_after_exactly_retry_cap_samples(monkeypatch, block):
-    if block is not None:
-        monkeypatch.setattr(LS, "SAMPLE_BLOCK", block)
-    inst = M.generate_knapsack_instance(10, seed=4)
-    support, needed = reference_initial_design(inst, 2, LS.RETRY_CAP)
-    assert LS.initial_design(inst, seed=2, retry_cap=needed).support == support
-    with pytest.raises(LS.DegenerateInstanceError) as exc:
-        LS.initial_design(inst, seed=2, retry_cap=needed - 1)
-    with pytest.raises(LS.DegenerateInstanceError) as ref_exc:
-        reference_initial_design(inst, 2, needed - 1)
-    assert str(exc.value) == str(ref_exc.value)
-
-
-def test_initial_design_degenerate_message_at_retry_cap():
-    inst = M.generate_knapsack_instance(5, seed=0)  # span-deficient
-    with pytest.raises(LS.DegenerateInstanceError) as exc:
-        LS.initial_design(inst, seed=0, retry_cap=2000)
-    with pytest.raises(LS.DegenerateInstanceError) as ref_exc:
-        reference_initial_design(inst, 0, 2000)
-    assert str(exc.value) == str(ref_exc.value)
+def test_initial_points_match_one_rank_test_per_draw():
+    # same points and the same generator state afterwards, so CG is unchanged
+    for inst in _start_instances() + [M.generate_knapsack_instance(8, seed=82)]:
+        for seed in range(6):
+            rng, ref_rng = M.make_rng(seed), M.make_rng(seed)
+            pricer = pricing.Pricer(inst.space, inst.model)
+            assert R._initial_points(inst, rng, pricer) == reference_initial_points(inst, ref_rng)
+            assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
 
 
 # ---------------------------------------------------------------------------

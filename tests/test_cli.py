@@ -5,6 +5,7 @@ import json
 import pytest
 
 from doptdesign import cli, model as M
+from doptdesign.pricing import Pricer
 
 
 def run(argv):
@@ -122,7 +123,21 @@ def test_suite_csv_output(tmp_path):
     assert len(lines) == 1 + 4  # header + 2 dims x 2 seeds
 
 
-def test_threads_flag_accepted(tmp_path):
-    out = tmp_path / "i.json"
-    assert run(["--threads", "4", "gen", "--variant", "cardinality", "--d", "5",
-                "-o", str(out)]) == cli.EXIT_OK
+def test_relax_degenerate_exit_code(tmp_path, capsys):
+    inst = tmp_path / "deg.json"
+    run(["gen", "--variant", "knapsack", "--d", "5", "--seed", "0", "-o", str(inst)])
+    assert run(["relax", "--instance", str(inst)]) == cli.EXIT_DEGENERATE
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "DegenerateInstanceError"
+    assert "span rank 5 < p = 6" in err["message"]
+
+
+def test_relax_node_limit_without_incumbent_is_soft_failure(inst_path, monkeypatch, capsys):
+    # B&B forced on a small space, stopped before it finds any feasible point
+    monkeypatch.setattr(
+        cli, "_make_pricer",
+        lambda inst, args: Pricer(inst.space, inst.model, enum_threshold=0, node_limit=1),
+    )
+    assert run(["relax", "--instance", str(inst_path)]) == cli.EXIT_SOFT_FAILURE
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "NodeLimitError"

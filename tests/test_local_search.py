@@ -69,7 +69,7 @@ def test_initial_design_degenerate_raises():
     space = M.ExperimentSpace(d=3, L=2, fixed_first=True)
     inst = M.Instance(space=space, model=M.build_full_first_order(3), k=6)
     with pytest.raises(LS.DegenerateInstanceError):
-        LS.initial_design(inst, seed=0, retry_cap=2000)
+        LS.initial_design(inst, seed=0)
 
 
 # ---------------------------------------------------------------------------

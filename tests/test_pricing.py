@@ -1,12 +1,17 @@
-"""Pricing problem: heuristic ascent, enumeration, and exact branch-and-bound."""
+"""Pricing problem: heuristic ascent, enumeration, exact branch-and-bound, and
+the rank completion that local search and column generation start from."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from doptdesign import local_search as LS
 from doptdesign import model as M
 from doptdesign import pricing
+from doptdesign import relaxation as R
 
 
 def first_order_setting(d, L=2, constraints=(), fixed_first=False):
@@ -252,3 +257,138 @@ def test_pricer_dispatches_to_bb_when_large():
     res = pr.exact(np.eye(mono.p))
     assert res.exact
     assert np.isclose(res.value, float(mono.p))
+
+
+# ---------------------------------------------------------------------------
+# Rank completion
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def small_instances(draw):
+    d = draw(st.integers(2, 5))
+    L = draw(st.integers(2, 3))
+    coef = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    rows = draw(
+        st.lists(st.tuples(st.lists(coef, min_size=d, max_size=d), coef), max_size=2)
+    )
+    fixed_first = draw(st.booleans())
+    space = M.ExperimentSpace(
+        d=d, L=L, constraints=tuple((tuple(r), b) for r, b in rows), fixed_first=fixed_first
+    )
+    exps = list(M.build_full_first_order(d).exponents)
+    if draw(st.booleans()):  # second order: some products x_a x_b, squares included
+        pairs = [(a, b) for a in range(d) for b in range(a, d)]
+        for a, b in draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True)):
+            row = [0] * d
+            row[a] += 1
+            row[b] += 1
+            exps.append(tuple(row))
+    if fixed_first and draw(st.booleans()):
+        # x1 is pinned to 1 and duplicates the constant; drop it to allow rank p
+        exps = [e for e in exps if e[0] == 0]
+    model = M.MonomialModel(tuple(exps))
+    return M.Instance(space=space, model=model, k=model.p + draw(st.integers(0, 3)))
+
+
+@given(
+    inst=small_instances(),
+    seed=st.integers(0, 2**16),
+    stall=st.sampled_from([1, 64, pricing.RANK_STALL]),
+)
+@settings(max_examples=60, deadline=None)
+def test_rank_completion_raises_exactly_when_the_space_spans_less_than_p(inst, seed, stall):
+    X = M.enumerate_space(inst.space)
+    full = X.shape[0] > 0 and np.linalg.matrix_rank(inst.model.evaluate_many(X)) == inst.p
+    pricer = pricing.Pricer(inst.space, inst.model)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pricing, "RANK_STALL", stall)
+        if not full:
+            with pytest.raises(pricing.DegenerateInstanceError):
+                LS.initial_design(inst, seed=seed, pricer=pricer)
+            if X.shape[0]:  # CG would first spend 10^5 draws on an empty space
+                with pytest.raises(pricing.DegenerateInstanceError):
+                    R._initial_points(inst, M.make_rng(seed), pricer)
+            return
+        design = LS.initial_design(inst, seed=seed, pricer=pricer)
+        xs = R._initial_points(inst, M.make_rng(seed), pricer)
+    assert sum(design.support.values()) == inst.k
+    assert design.info.rank == inst.p
+    assert len(set(xs)) == len(xs)
+    for points in (list(design.support), xs):
+        assert all(inst.space.contains(x) for x in points)
+        V = inst.model.evaluate_many(np.array(points))
+        assert np.linalg.matrix_rank(V) == inst.p
+
+
+class CountingPricer(pricing.Pricer):
+    exact_calls = 0
+
+    def exact(self, G, incumbent=None, target=None):
+        self.exact_calls += 1
+        return super().exact(G, incumbent=incumbent, target=target)
+
+
+@pytest.mark.parametrize("enum_threshold", [2**16, 0])
+def test_priced_rank_completion_after_one_stalled_draw(monkeypatch, enum_threshold):
+    monkeypatch.setattr(pricing, "RANK_STALL", 1)
+    # CG seeds whose 2p random points span less than rank p
+    for inst, cg_seed in (
+        (M.generate_cardinality_instance(6), 26),
+        (M.generate_knapsack_instance(10, seed=4), 0),
+    ):
+        pricer = CountingPricer(inst.space, inst.model, enum_threshold=enum_threshold)
+        design = LS.initial_design(inst, seed=0, pricer=pricer)
+        assert pricer.exact_calls > 0
+        assert design.info.rank == inst.p and sum(design.support.values()) == inst.k
+        assert all(inst.space.contains(x) for x in design.support)
+        pricer.exact_calls = 0
+        xs = R._initial_points(inst, M.make_rng(cg_seed), pricer)
+        assert pricer.exact_calls > 0
+        assert all(inst.space.contains(x) for x in xs)
+        assert np.linalg.matrix_rank(inst.model.evaluate_many(np.array(xs))) == inst.p
+
+
+@pytest.mark.parametrize("enum_threshold", [2**16, 0])
+def test_degeneracy_proof_states_the_span_rank(enum_threshold):
+    for d, seed in ((5, 0), (6, 3)):  # a heavy coefficient pins a factor to 0
+        inst = M.generate_knapsack_instance(d, seed=seed)
+        span = np.linalg.matrix_rank(inst.model.evaluate_many(M.enumerate_space(inst.space)))
+        assert span < inst.p
+        pricer = pricing.Pricer(inst.space, inst.model, enum_threshold=enum_threshold)
+        for solve in (
+            lambda: LS.initial_design(inst, seed=0, pricer=pricer),
+            lambda: R._initial_points(inst, M.make_rng(0), pricer),
+        ):
+            with pytest.raises(pricing.DegenerateInstanceError, match=f"span rank {span} <"):
+                solve()
+    assert LS.DegenerateInstanceError is pricing.DegenerateInstanceError
+
+
+def test_empty_space_is_degenerate():
+    space = M.ExperimentSpace(d=2, L=2, constraints=(((1, 1), -1),))
+    inst = M.Instance(space=space, model=M.build_full_first_order(2), k=3)
+    with pytest.raises(pricing.EmptySpaceError) as exc:
+        LS.initial_design(inst, seed=0)
+    assert isinstance(exc.value, pricing.DegenerateInstanceError)
+    assert exc.value.exit_code == 2
+
+
+def test_node_limit_without_incumbent_is_a_typed_soft_failure():
+    space, mono = first_order_setting(6)
+    with pytest.raises(pricing.NodeLimitError) as exc:
+        pricing.solve_bb(np.eye(mono.p) - 0.1, space, mono, node_limit=1)
+    assert isinstance(exc.value, RuntimeError) and exc.value.exit_code == 3
+
+
+def test_inexact_pricing_without_rank_gain_is_a_soft_failure(monkeypatch):
+    class InexactPricer(pricing.Pricer):
+        def exact(self, G, incumbent=None, target=None):
+            return replace(super().exact(G), exact=False)
+
+    monkeypatch.setattr(pricing, "RANK_STALL", 1)
+    inst = M.generate_knapsack_instance(5, seed=0)  # spans rank 5 < p = 6
+    with pytest.raises(pricing.NodeLimitError) as exc:
+        LS.initial_design(inst, seed=0, pricer=InexactPricer(inst.space, inst.model))
+    assert not isinstance(exc.value, pricing.DegenerateInstanceError)
+    assert exc.value.exit_code == 3
