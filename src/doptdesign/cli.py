@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, bench, local_search, model, relaxation
-from .pricing import DoptError, Pricer
+from .pricing import DegenerateInstanceError, DoptError, Pricer
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -64,7 +64,7 @@ def _write_manifest(path: str | None, command: str, inst, args: dict) -> None:
         },
         "caps": {
             k: args[k]
-            for k in ("bb_nodes", "enum_cap", "master_iters")
+            for k in ("bb_nodes", "master_iters")
             if k in args
         },
         "instance_hash": model.instance_hash(inst) if inst is not None else None,
@@ -77,15 +77,6 @@ def _load_instance(path: str) -> model.Instance:
     return model.instance_from_json(Path(path).read_text())
 
 
-def _make_pricer(inst: model.Instance, args) -> Pricer:
-    return Pricer(
-        inst.space,
-        inst.model,
-        enum_cap=args.enum_cap,
-        node_limit=args.bb_nodes,
-    )
-
-
 def _cmd_gen(args) -> int:
     gen_name = VARIANTS[args.variant]
     inst = model.GENERATORS[gen_name](args.d, args.k, args.seed)
@@ -96,7 +87,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_ls(args) -> int:
     inst = _load_instance(args.instance)
-    pricer = _make_pricer(inst, args)
+    pricer = Pricer(inst.space, inst.model, node_limit=args.bb_nodes)
     warm = None
     if args.warm_start:
         warm = local_search.Design.from_dict(
@@ -119,7 +110,6 @@ def _cmd_ls(args) -> int:
             "seed": args.seed,
             "tol_improve": args.tol_improve,
             "bb_nodes": args.bb_nodes,
-            "enum_cap": args.enum_cap,
         },
     )
     return EXIT_SOFT_FAILURE if report.inconclusive else EXIT_OK
@@ -127,7 +117,7 @@ def _cmd_ls(args) -> int:
 
 def _cmd_relax(args) -> int:
     inst = _load_instance(args.instance)
-    pricer = _make_pricer(inst, args)
+    pricer = Pricer(inst.space, inst.model, node_limit=args.bb_nodes)
     params = relaxation.CGParams(
         delta=args.delta,
         epsilon=args.epsilon,
@@ -160,7 +150,6 @@ def _cmd_relax(args) -> int:
             "tol_master": args.tol_master,
             "master_iters": args.master_iters,
             "bb_nodes": args.bb_nodes,
-            "enum_cap": args.enum_cap,
         },
     )
     return EXIT_OK
@@ -190,10 +179,7 @@ def _cmd_brute(args) -> int:
     inst = _load_instance(args.instance)
     result = bench.brute_force_dopt(inst, cap=args.cap)
     if result.optimal_design is None:
-        _emit_error(
-            "DegenerateInstance", "no rank-p design of size k exists in this space"
-        )
-        return EXIT_DEGENERATE
+        raise DegenerateInstanceError("no rank-p design of size k exists in this space")
     payload = {
         "optimum_logdet": result.optimum_logdet,
         "optimal_design": result.optimal_design.to_dict(),
@@ -212,7 +198,6 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", "-o", default=None)
         p.add_argument("--bb-nodes", type=int, default=10**6)
-        p.add_argument("--enum-cap", type=int, default=2**24)
 
     p = sub.add_parser("gen", help="generate an instance JSON")
     p.add_argument("--variant", choices=sorted(VARIANTS), required=True)

@@ -23,6 +23,7 @@ from .psd_linalg import (
     log_kdet,
     pricing_matrix,
     rank_one_downdate,
+    rank_one_update,
 )
 from .pricing import DegenerateInstanceError, Pricer, PricingResult, complete_rank
 
@@ -201,7 +202,9 @@ def _apply(
     if support[x_out] == 0:
         del support[x_out]
     support[x_in] = support.get(x_in, 0) + 1
-    new_design = Design.from_support(design.model, support, design.k)
+    # S has integer entries, so this sum is exact: it equals a fresh from_support
+    info = rank_one_update(S_minus, design.model.evaluate(x_in))
+    new_design = Design(support=support, k=design.k, model=design.model, info=info)
     move = ExchangeMove(
         x_out=x_out, x_in=x_in, new_logdet=new_design.logdet, move_kind=kind
     )

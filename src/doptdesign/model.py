@@ -13,13 +13,17 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
 RNG_ALGORITHM = "pcg64"  # recorded in every emitted file for reproducibility
+DEFAULT_ENUM_CAP = 2**24  # membership tests one enumeration may run
+
+
+class EnumerationCapError(ValueError):
+    """Feasible set too large to enumerate under the configured cap."""
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -140,13 +144,11 @@ class ExperimentSpace:
         return self.L**self.d
 
 
-@lru_cache(maxsize=32)
-def _enumerate_cached(space: ExperimentSpace, cap: int) -> np.ndarray:
-    grid = space.count_grid()
+def enumerate_space(space: ExperimentSpace, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+    """All feasible experiments in lexicographic order, shape (n, d)."""
     if space.L**space.d > cap:
-        raise ValueError(
-            f"enumeration needs {space.L ** space.d} membership tests, cap is {cap}"
-        )
+        raise EnumerationCapError(f"{space.L ** space.d} membership tests exceed cap {cap}")
+    grid = space.count_grid()
     free = space.d - 1 if space.fixed_first else space.d
     # lexicographic order over the free coordinates, most significant first
     idx = np.arange(grid)
@@ -160,13 +162,7 @@ def _enumerate_cached(space: ExperimentSpace, cap: int) -> np.ndarray:
         X = digits
     if space.constraints:
         X = X[space.feasible(X)]
-    X.setflags(write=False)
     return X
-
-
-def enumerate_space(space: ExperimentSpace, cap: int = 2**24) -> np.ndarray:
-    """All feasible experiments in lexicographic order, shape (n, d)."""
-    return _enumerate_cached(space, cap)
 
 
 @dataclass(frozen=True)

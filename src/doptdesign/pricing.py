@@ -10,16 +10,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .model import ExperimentSpace, MonomialModel, enumerate_space
+from .model import DEFAULT_ENUM_CAP, ExperimentSpace, MonomialModel, enumerate_space
+from .model import EnumerationCapError  # noqa: F401  (re-exported)
 
-DEFAULT_ENUM_CAP = 2**24
 DEFAULT_NODE_LIMIT = 10**6
+# Boxes of at most this many points are priced by enumeration, larger ones by B&B
+ENUM_THRESHOLD = 2**16
 # Nodes whose LP bound is within this margin of the incumbent are still
 # explored, so LP solver tolerance can never prune the true optimum.
 BOUND_SAFETY = 1e-7
@@ -45,10 +47,6 @@ class EmptySpaceError(DegenerateInstanceError, ValueError):
 
 class NodeLimitError(DoptError, RuntimeError):
     """Branch and bound hit its node limit before deciding what was asked."""
-
-
-class EnumerationCapError(ValueError):
-    """Feasible set too large to enumerate under the configured cap."""
 
 
 @dataclass(frozen=True)
@@ -140,6 +138,17 @@ def heuristic_search(
             return PricingResult(x=x, value=value, exact=False, nodes=evals)
 
 
+def _best_row(G: np.ndarray, X: np.ndarray, P: np.ndarray) -> PricingResult:
+    """Exact optimum over the enumeration X with design points P."""
+    if X.shape[0] == 0:
+        raise EmptySpaceError("feasible set is empty")
+    vals = np.einsum("ij,jk,ik->i", P, G, P)
+    best = int(np.argmax(vals))  # first argmax = lexicographically smallest
+    return PricingResult(
+        x=X[best].copy(), value=float(vals[best]), exact=True, nodes=X.shape[0]
+    )
+
+
 def solve_enum(
     G: np.ndarray,
     space: ExperimentSpace,
@@ -147,19 +156,8 @@ def solve_enum(
     cap: int = DEFAULT_ENUM_CAP,
 ) -> PricingResult:
     """Exact optimum by enumeration; ties go to the lexicographically smallest x."""
-    if space.L**space.d > cap:
-        raise EnumerationCapError(
-            f"{space.L ** space.d} membership tests exceed cap {cap}"
-        )
     X = enumerate_space(space, cap)
-    if X.shape[0] == 0:
-        raise EmptySpaceError("feasible set is empty")
-    P = model.evaluate_many(X).astype(float)
-    vals = np.einsum("ij,jk,ik->i", P, G, P)
-    best = int(np.argmax(vals))  # first argmax = lexicographically smallest
-    return PricingResult(
-        x=X[best].copy(), value=float(vals[best]), exact=True, nodes=X.shape[0]
-    )
+    return _best_row(G, X, model.evaluate_many(X).astype(float))
 
 
 # --------------------------------------------------------------------------
@@ -355,7 +353,6 @@ def solve_bb(
     incumbent: Optional[PricingResult] = None,
     target: Optional[float] = None,
     node_limit: int = DEFAULT_NODE_LIMIT,
-    lin: Optional[LinearizedProgram] = None,
 ) -> PricingResult:
     """Exact branch-and-bound on the linearized program.
 
@@ -364,8 +361,7 @@ def solve_bb(
     needs.  Bounds come from the LP relaxation; branching picks the most
     fractional bit.
     """
-    if lin is None:
-        lin = build_linearization(G, space, model)
+    lin = build_linearization(G, space, model)
 
     best_x = None
     best_val = -np.inf
@@ -439,13 +435,20 @@ def solve_bb(
 
 @dataclass
 class Pricer:
-    """Pricing dispatcher: enumeration when the space is small, B&B otherwise."""
+    """Pricing dispatcher: enumeration up to ENUM_THRESHOLD box points, B&B beyond.
+
+    The enumeration route enumerates and evaluates the space once, on its
+    first call, and scores every later G against the same points.
+    """
 
     space: ExperimentSpace
     model: MonomialModel
-    enum_threshold: int = 2**16
-    enum_cap: int = DEFAULT_ENUM_CAP
     node_limit: int = DEFAULT_NODE_LIMIT
+
+    @cached_property
+    def _enumeration(self) -> tuple[np.ndarray, np.ndarray]:
+        X = enumerate_space(self.space)
+        return X, self.model.evaluate_many(X).astype(float)
 
     def heuristic(self, G: np.ndarray, start: np.ndarray) -> PricingResult:
         return heuristic_search(G, self.space, self.model, start)
@@ -456,8 +459,8 @@ class Pricer:
         incumbent: Optional[PricingResult] = None,
         target: Optional[float] = None,
     ) -> PricingResult:
-        if self.space.L**self.space.d <= self.enum_threshold:
-            return solve_enum(G, self.space, self.model, cap=self.enum_cap)
+        if self.space.L**self.space.d <= ENUM_THRESHOLD:
+            return _best_row(G, *self._enumeration)
         return solve_bb(
             G,
             self.space,

@@ -201,7 +201,7 @@ def sparsify(cd: ContinuousDesign, tol: float = 1e-9) -> ContinuousDesign:
         B = columns(active)
         kernel = null_space(B, rcond=tol)
         if kernel.shape[1] == 0:
-            raise RuntimeError(
+            raise ColumnGenerationError(
                 "no kernel direction found although support exceeds the bound; "
                 "tolerance misconfiguration"
             )

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from doptdesign import bench, local_search as LS, model as M
+from doptdesign import bench, local_search as LS, model as M, pricing
 from doptdesign.pricing import Pricer
 from doptdesign.psd_linalg import RankError
 
@@ -131,9 +131,10 @@ def test_local_optimum_matches_bruteforce_on_tiny_instance():
     assert design.logdet >= brute.optimum_logdet + math.log(guarantee) - 1e-9
 
 
-def test_node_limit_marks_inconclusive():
+def test_node_limit_marks_inconclusive(monkeypatch):
+    monkeypatch.setattr(pricing, "ENUM_THRESHOLD", 1)
     inst = M.generate_knapsack_instance(17, seed=1)
-    pricer = Pricer(inst.space, inst.model, enum_threshold=1, node_limit=1)
+    pricer = Pricer(inst.space, inst.model, node_limit=1)
     design, report = LS.run(inst, seed=0, pricer=pricer, max_iters=3)
     assert report.inconclusive
     assert not report.proved_local_optimum

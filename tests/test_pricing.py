@@ -251,9 +251,10 @@ def test_pricer_dispatches_to_enum_when_small():
     assert res.exact and res.nodes == 16  # enumeration visits every point
 
 
-def test_pricer_dispatches_to_bb_when_large():
+def test_pricer_dispatches_to_bb_when_large(monkeypatch):
+    monkeypatch.setattr(pricing, "ENUM_THRESHOLD", 1)
     space, mono = first_order_setting(4)
-    pr = pricing.Pricer(space, mono, enum_threshold=1)
+    pr = pricing.Pricer(space, mono)
     res = pr.exact(np.eye(mono.p))
     assert res.exact
     assert np.isclose(res.value, float(mono.p))
@@ -332,12 +333,13 @@ class CountingPricer(pricing.Pricer):
 @pytest.mark.parametrize("enum_threshold", [2**16, 0])
 def test_priced_rank_completion_after_one_stalled_draw(monkeypatch, enum_threshold):
     monkeypatch.setattr(pricing, "RANK_STALL", 1)
+    monkeypatch.setattr(pricing, "ENUM_THRESHOLD", enum_threshold)
     # CG seeds whose 2p random points span less than rank p
     for inst, cg_seed in (
         (M.generate_cardinality_instance(6), 26),
         (M.generate_knapsack_instance(10, seed=4), 0),
     ):
-        pricer = CountingPricer(inst.space, inst.model, enum_threshold=enum_threshold)
+        pricer = CountingPricer(inst.space, inst.model)
         design = LS.initial_design(inst, seed=0, pricer=pricer)
         assert pricer.exact_calls > 0
         assert design.info.rank == inst.p and sum(design.support.values()) == inst.k
@@ -350,12 +352,13 @@ def test_priced_rank_completion_after_one_stalled_draw(monkeypatch, enum_thresho
 
 
 @pytest.mark.parametrize("enum_threshold", [2**16, 0])
-def test_degeneracy_proof_states_the_span_rank(enum_threshold):
+def test_degeneracy_proof_states_the_span_rank(monkeypatch, enum_threshold):
+    monkeypatch.setattr(pricing, "ENUM_THRESHOLD", enum_threshold)
     for d, seed in ((5, 0), (6, 3)):  # a heavy coefficient pins a factor to 0
         inst = M.generate_knapsack_instance(d, seed=seed)
         span = np.linalg.matrix_rank(inst.model.evaluate_many(M.enumerate_space(inst.space)))
         assert span < inst.p
-        pricer = pricing.Pricer(inst.space, inst.model, enum_threshold=enum_threshold)
+        pricer = pricing.Pricer(inst.space, inst.model)
         for solve in (
             lambda: LS.initial_design(inst, seed=0, pricer=pricer),
             lambda: R._initial_points(inst, M.make_rng(0), pricer),
@@ -392,3 +395,46 @@ def test_inexact_pricing_without_rank_gain_is_a_soft_failure(monkeypatch):
         LS.initial_design(inst, seed=0, pricer=InexactPricer(inst.space, inst.model))
     assert not isinstance(exc.value, pricing.DegenerateInstanceError)
     assert exc.value.exit_code == 3
+
+
+# ---------------------------------------------------------------------------
+# One enumeration per Pricer
+# ---------------------------------------------------------------------------
+
+
+@given(inst=small_instances(), seed=st.integers(0, 2**16), n_prices=st.integers(2, 5))
+@settings(max_examples=60, deadline=None)
+def test_pricer_enumerates_once_and_matches_solve_enum(inst, seed, n_prices):
+    rng = M.make_rng(seed)
+    pricer = pricing.Pricer(inst.space, inst.model)
+    calls = {"enumerate_space": 0, "evaluate_many": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for owner, name in ((pricing, "enumerate_space"), (M.MonomialModel, "evaluate_many")):
+            mp.setattr(owner, name, counted(name, getattr(owner, name)))
+        pricer_calls = dict.fromkeys(calls, 0)
+        for _ in range(n_prices):
+            G = random_sym(rng, inst.p)
+            try:
+                want = pricing.solve_enum(G, inst.space, inst.model)
+            except pricing.EmptySpaceError:
+                want = None
+            before = dict(calls)
+            if want is None:
+                with pytest.raises(pricing.EmptySpaceError):
+                    pricer.exact(G)
+            else:
+                got = pricer.exact(G)
+                assert got.exact
+                assert got.x.tolist() == want.x.tolist()
+                assert got.value == want.value  # bit-equal
+                assert got.nodes == want.nodes
+            for name in calls:
+                pricer_calls[name] += calls[name] - before[name]
+    assert pricer_calls == {"enumerate_space": 1, "evaluate_many": 1}

@@ -162,6 +162,13 @@ def test_sparsify_noop_when_within_bound():
     assert len(out.xs) == len(cd.xs)
 
 
+def test_sparsify_without_kernel_direction_is_a_typed_soft_failure(monkeypatch):
+    monkeypatch.setattr(R, "null_space", lambda B, rcond: np.zeros((B.shape[1], 0)))
+    with pytest.raises(R.ColumnGenerationError, match="no kernel direction") as exc:
+        R.sparsify(make_uniform_design(7))
+    assert isinstance(exc.value, RuntimeError) and exc.value.exit_code == 3
+
+
 # ---------------------------------------------------------------------------
 # Column generation
 # ---------------------------------------------------------------------------
