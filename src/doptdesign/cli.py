@@ -59,14 +59,10 @@ def _write_manifest(path: str | None, command: str, inst, args: dict) -> None:
         "seed": args.get("seed"),
         "tolerances": {
             k: args[k]
-            for k in ("delta", "epsilon", "gamma", "tol_master", "tol_improve")
+            for k in ("delta", "epsilon", "gamma", "tol_improve")
             if k in args
         },
-        "caps": {
-            k: args[k]
-            for k in ("bb_nodes", "master_iters")
-            if k in args
-        },
+        "caps": {"bb_nodes": args["bb_nodes"]} if "bb_nodes" in args else {},
         "instance_hash": model.instance_hash(inst) if inst is not None else None,
         "rng": model.RNG_ALGORITHM,
     }
@@ -123,8 +119,6 @@ def _cmd_relax(args) -> int:
         epsilon=args.epsilon,
         gamma=args.gamma,
         seed=args.seed,
-        tol_master=args.tol_master,
-        master_iters=args.master_iters,
     )
     cd, cert, trace = relaxation.column_generation(inst, pricer, params)
     payload = {
@@ -147,8 +141,6 @@ def _cmd_relax(args) -> int:
             "delta": args.delta,
             "epsilon": args.epsilon,
             "gamma": args.gamma,
-            "tol_master": args.tol_master,
-            "master_iters": args.master_iters,
             "bb_nodes": args.bb_nodes,
         },
     )
@@ -219,8 +211,6 @@ def build_parser() -> _Parser:
     p.add_argument("--delta", type=float, default=relaxation.DELTA)
     p.add_argument("--epsilon", type=float, default=relaxation.EPSILON)
     p.add_argument("--gamma", type=float, default=relaxation.GAMMA)
-    p.add_argument("--tol-master", type=float, default=relaxation.TOL_MASTER)
-    p.add_argument("--master-iters", type=int, default=relaxation.MASTER_ITER_CAP)
     common(p)
     p.set_defaults(func=_cmd_relax)
 

@@ -16,7 +16,7 @@ from itertools import islice
 
 import numpy as np
 
-from .model import ExperimentSpace, Instance, MonomialModel, make_rng
+from .model import Instance, MonomialModel, make_rng
 from .psd_linalg import (
     InfoMatrix,
     RankError,
@@ -28,7 +28,6 @@ from .psd_linalg import (
 from .pricing import DegenerateInstanceError, Pricer, PricingResult, complete_rank
 
 TOL_IMPROVE = 1e-9
-SAMPLE_BLOCK = 4096
 
 
 @dataclass
@@ -95,23 +94,13 @@ class LocalSearchReport:
         }
 
 
-def _draws(space: ExperimentSpace, rng):
-    """Sampled experiments in blocks of SAMPLE_BLOCK, None for a draw outside the space."""
-    while True:
-        X = rng.integers(0, space.L, size=(SAMPLE_BLOCK, space.d))
-        if space.fixed_first:
-            X[:, 0] = 1
-        for x, ok in zip(X.tolist(), space.feasible(X).tolist()):
-            yield tuple(x) if ok else None
-
-
 def initial_design(instance: Instance, seed: int = 0, pricer: Pricer | None = None) -> Design:
     """A rank-p design of size k from one sample stream, greedy on rank first.
 
     ``complete_rank`` keeps the samples that add rank (or proves the space
     spans less than rank p); the next feasible samples fill the design to k.
     """
-    draws = _draws(instance.space, make_rng(seed))
+    draws = instance.space.draws(make_rng(seed))
     kept = complete_rank(pricer or Pricer(instance.space, instance.model), [], draws)
     kept += islice((x for x in draws if x is not None), instance.k - len(kept))
     return Design.from_support(instance.model, Counter(kept), instance.k)

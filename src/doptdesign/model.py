@@ -20,6 +20,7 @@ import numpy as np
 
 RNG_ALGORITHM = "pcg64"  # recorded in every emitted file for reproducibility
 DEFAULT_ENUM_CAP = 2**24  # membership tests one enumeration may run
+SAMPLE_BLOCK = 4096  # samples drawn and membership-tested together by ``draws``
 
 
 class EnumerationCapError(ValueError):
@@ -128,6 +129,19 @@ class ExperimentSpace:
             Xi = X.astype(self._A_int.dtype)
             ok &= np.all(Xi @ self._A_int.T <= self._b_int, axis=1)
         return ok
+
+    def draws(self, rng):
+        """Uniform samples of the level box, drawn SAMPLE_BLOCK at a time.
+
+        Yields each sample as a tuple when it lies in the space and None when
+        it does not; the stream equals one ``rng.integers`` call per sample.
+        """
+        while True:
+            X = rng.integers(0, self.L, size=(SAMPLE_BLOCK, self.d))
+            if self.fixed_first:
+                X[:, 0] = 1
+            for x, ok in zip(X.tolist(), self.feasible(X).tolist()):
+                yield tuple(x) if ok else None
 
     def constraint_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Constraints as float arrays (A, b); empty arrays when unconstrained."""

@@ -4,7 +4,12 @@ The restricted master (max log det of the weighted moment matrix over stored
 points, weights summing to k) is solved by the classic multiplicative update
 for D-optimal weights.  Its optimal dual is read off in closed form, pricing
 for dual feasibility reuses the quadratic pricing problem, and a null-space
-sparsification keeps the stored support at most C(p,2) + p + 1.
+sparsification keeps the returned support at most C(p,2) + p + 1.
+
+One accuracy number, epsilon, governs column generation: every master stops
+at max leverage <= (1 + epsilon) p/k and the run stops at alpha <=
+(1 + epsilon) nu, so the certified gap k alpha - p is at most
+p((1 + epsilon)^2 - 1).
 """
 
 from __future__ import annotations
@@ -16,11 +21,12 @@ from itertools import islice
 import numpy as np
 from scipy.linalg import null_space
 
-from .model import ExperimentSpace, Instance, make_rng
+from .model import Instance, make_rng
 from .pricing import DoptError, Pricer, complete_rank
 
-TOL_MASTER = 1e-7
+TOL_MASTER = 1e-7  # leverage tolerance of a direct master solve
 MASTER_ITER_CAP = 100_000
+RANDOM_DRAW_CAP = 100_000  # samples one request for random columns may read
 DELTA = 0.05
 EPSILON = 1e-4
 GAMMA = 1e-6
@@ -85,18 +91,19 @@ def solve_restricted_master(
     xs: list,
     points: np.ndarray,
     k: int,
-    tol_master: float = TOL_MASTER,
-    max_iters: int = MASTER_ITER_CAP,
+    tol: float = TOL_MASTER,
     weights0: np.ndarray | None = None,
 ) -> ContinuousDesign:
     """Multiplicative-update solve of the restricted D-optimal weight problem.
 
     Iterates w_v <- w_v * v^T M^{-1} v / p (then rescales to k) until
-    max_v v^T M^{-1} v <= (1 + tol) p / k.  Each round also takes one
+    max_v v^T M^{-1} v <= (1 + tol) p / k, or raises MasterConvergenceError
+    after MASTER_ITER_CAP rounds.  Each round also takes one
     exact-line-search weight exchange between the extreme-leverage points;
     both steps are monotone in the objective with the same fixed point, and
     the exchange removes the slow tail when a zero-weight point lies exactly
-    on the optimal ellipsoid.  Warm starts are safe.
+    on the optimal ellipsoid.  A warm start is clamped to weights of at least
+    1e-12 k/n, so points entering at weight 0 can grow.
     """
     V = np.asarray(points, dtype=float)
     n, p = V.shape
@@ -108,14 +115,14 @@ def solve_restricted_master(
         w = np.asarray(weights0, dtype=float).copy()
         w = np.maximum(w, 1e-12 * k / n)
         w *= k / w.sum()
-    threshold = (1.0 + tol_master) * p / k
+    threshold = (1.0 + tol) * p / k
 
     def leverages(w):
         M = (V * w[:, None]).T @ V
         Minv = np.linalg.inv(M)
         return np.einsum("ij,jk,ik->i", V, Minv, V), Minv
 
-    for _ in range(max_iters):
+    for _ in range(MASTER_ITER_CAP):
         lev, _ = leverages(w)
         if lev.max() <= threshold:
             break
@@ -134,7 +141,7 @@ def solve_restricted_master(
                 w[i] -= t
     else:
         raise MasterConvergenceError(
-            f"leverage test not met within {max_iters} iterations"
+            f"leverage test not met within {MASTER_ITER_CAP} iterations"
         )
     return ContinuousDesign(xs=list(xs), points=V, weights=w, k=k)
 
@@ -233,30 +240,18 @@ class CGParams:
     epsilon: float = EPSILON
     gamma: float = GAMMA
     seed: int = 0
-    tol_master: float = TOL_MASTER
-    master_iters: int = MASTER_ITER_CAP
     max_iters: int = CG_ITER_CAP
 
 
-def _draws(space: ExperimentSpace, rng):
-    """Sampled experiments, None when outside the space; one draw at a time, as the
-    same generator goes on to draw the random columns."""
-    while True:
-        x = rng.integers(0, space.L, size=space.d)
-        if space.fixed_first:
-            x[0] = 1
-        yield tuple(int(t) for t in x) if space.contains(x) else None
+def _random_feasible(draws, count: int) -> list:
+    """The next ``count`` feasible samples, fewer if RANDOM_DRAW_CAP samples run out."""
+    return list(islice((x for x in islice(draws, RANDOM_DRAW_CAP) if x is not None), count))
 
 
-def _random_feasible(instance: Instance, rng, count: int, retry_cap: int = 100_000):
-    draws = islice(_draws(instance.space, rng), retry_cap)
-    return list(islice((x for x in draws if x is not None), count))
-
-
-def _initial_points(instance: Instance, rng, pricer: Pricer) -> list:
-    """2p random feasible experiments plus greedy rank completion."""
-    xs = list(dict.fromkeys(_random_feasible(instance, rng, 2 * instance.p)))
-    return xs + complete_rank(pricer, xs, _draws(instance.space, rng))
+def _initial_points(instance: Instance, draws, pricer: Pricer) -> list:
+    """2p random feasible experiments plus greedy rank completion, from ``draws``."""
+    xs = list(dict.fromkeys(_random_feasible(draws, 2 * instance.p)))
+    return xs + complete_rank(pricer, xs, draws)
 
 
 def column_generation(
@@ -271,20 +266,22 @@ def column_generation(
     Violating and random columns are added each round, the support is
     sparsified in primal mode when it exceeds ceil(p^2 / 3), and the solver
     switches permanently to dual-only mode once the master stalls below a
-    relative improvement of gamma.
+    relative improvement of gamma.  Every master solves to the epsilon
+    leverage test and restarts from the previous weights with new columns at
+    weight 0, so the master objective does not fall.  The returned design is
+    sparsified to at most C(p,2) + p + 1 points; its moment matrix, and so the
+    certificate, is unchanged.
     """
     if pricer is None:
         pricer = Pricer(instance.space, instance.model)
     if params is None:
         params = CGParams()
     model, k, p = instance.model, instance.k, instance.p
-    rng = make_rng(params.seed)
-    xs = _initial_points(instance, rng, pricer)
+    draws = instance.space.draws(make_rng(params.seed))
+    xs = _initial_points(instance, draws, pricer)
     points = model.evaluate_many(np.array(xs)).astype(float)
 
-    cd = solve_restricted_master(
-        xs, points, k, tol_master=params.tol_master, max_iters=params.master_iters
-    )
+    cd = solve_restricted_master(xs, points, k, tol=params.epsilon)
     cert = dual_from_primal(cd)
     mode = "primal"
     prev_obj = cd.objective
@@ -317,6 +314,9 @@ def column_generation(
                 final = DualCertificate(
                     Lambda=cert.Lambda, nu=alpha, k=k, feasible_for="full"
                 )
+                sparsified = len(cd.xs) > support_bound(p)
+                if sparsified:  # dual mode adds columns without sparsifying
+                    cd = sparsify(cd)
                 trace.append(
                     {
                         "iter": it,
@@ -325,7 +325,7 @@ def column_generation(
                         "alpha": alpha,
                         "mode": mode,
                         "n_points": len(cd.xs),
-                        "sparsified": False,
+                        "sparsified": sparsified,
                         "ip_solved": True,
                     }
                 )
@@ -335,7 +335,7 @@ def column_generation(
             entering = tuple(int(t) for t in hres.x)
 
         n_random = (p - 1) if mode == "primal" else 2 * (p - 1) ** 2
-        new_xs = [entering] + _random_feasible(instance, rng, n_random)
+        new_xs = [entering] + _random_feasible(draws, n_random)
         seen = set(cd.xs)
         new_xs = [x for x in dict.fromkeys(new_xs) if x not in seen]
 
@@ -351,22 +351,8 @@ def column_generation(
             else [cd.points],
             axis=0,
         )
-        # warm start: keep current weights, seed new points with a small share
-        eta = 0.05
-        w0 = np.concatenate(
-            [
-                cd.weights * (1.0 - (eta if new_xs else 0.0)),
-                np.full(len(new_xs), eta * k / max(len(new_xs), 1)),
-            ]
-        )
-        cd = solve_restricted_master(
-            xs,
-            points,
-            k,
-            tol_master=params.tol_master,
-            max_iters=params.master_iters,
-            weights0=w0,
-        )
+        w0 = np.concatenate([cd.weights, np.zeros(len(new_xs))])
+        cd = solve_restricted_master(xs, points, k, tol=params.epsilon, weights0=w0)
         cert = dual_from_primal(cd)
         obj = cd.objective
         trace.append(

@@ -229,7 +229,7 @@ def _start_instances():
 @pytest.mark.parametrize("block", [None, 1, 3, 64])
 def test_initial_design_matches_one_draw_per_sample(monkeypatch, block):
     if block is not None:
-        monkeypatch.setattr(LS, "SAMPLE_BLOCK", block)
+        monkeypatch.setattr(M, "SAMPLE_BLOCK", block)
     for inst in _start_instances():
         for seed in range(4):
             support, _ = reference_initial_design(inst, seed, 100_000)
@@ -237,13 +237,19 @@ def test_initial_design_matches_one_draw_per_sample(monkeypatch, block):
 
 
 def test_initial_points_match_one_rank_test_per_draw():
-    # same points and the same generator state afterwards, so CG is unchanged
+    # the block stream reads the same samples as one generator call per draw,
+    # and leaves off where the reference does, so CG's random columns follow on
     for inst in _start_instances() + [M.generate_knapsack_instance(8, seed=82)]:
+        space = inst.space
         for seed in range(6):
-            rng, ref_rng = M.make_rng(seed), M.make_rng(seed)
-            pricer = pricing.Pricer(inst.space, inst.model)
-            assert R._initial_points(inst, rng, pricer) == reference_initial_points(inst, ref_rng)
-            assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+            draws, ref_rng = space.draws(M.make_rng(seed)), M.make_rng(seed)
+            pricer = pricing.Pricer(space, inst.model)
+            assert R._initial_points(inst, draws, pricer) == reference_initial_points(inst, ref_rng)
+            for _ in range(3):
+                x = ref_rng.integers(0, space.L, size=space.d)
+                if space.fixed_first:
+                    x[0] = 1
+                assert next(draws) == (tuple(int(t) for t in x) if fraction_member(space, x) else None)
 
 
 # ---------------------------------------------------------------------------

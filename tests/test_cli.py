@@ -127,6 +127,31 @@ def test_suite_csv_output(tmp_path):
     assert len(lines) == 1 + 4  # header + 2 dims x 2 seeds
 
 
+@pytest.mark.parametrize("flag, value", [("--tol-master", "1e-3"), ("--master-iters", "5")])
+def test_relax_master_knobs_are_usage_errors(inst_path, flag, value, capsys):
+    assert run(["relax", "--instance", str(inst_path), flag, value]) == cli.EXIT_USAGE
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "UsageError"
+
+
+def test_relax_manifest_names_epsilon_as_the_only_accuracy(inst_path, tmp_path):
+    out = tmp_path / "rx.json"
+    assert run(["relax", "--instance", str(inst_path), "-o", str(out)]) == cli.EXIT_OK
+    manifest = json.loads((tmp_path / "rx.json.manifest.json").read_text())
+    assert set(manifest["tolerances"]) == {"delta", "epsilon", "gamma"}
+    assert set(manifest["caps"]) == {"bb_nodes"}
+
+
+def test_relax_certifies_knapsack_8_seed_10(tmp_path):
+    # exited 3 (MasterConvergenceError) while the master had its own 1e-7 tolerance
+    inst = tmp_path / "k8.json"
+    run(["gen", "--variant", "knapsack", "--d", "8", "--seed", "82", "-o", str(inst)])
+    out = tmp_path / "rx.json"
+    code = run(["relax", "--instance", str(inst), "--seed", "10", "-o", str(out)])
+    assert code == cli.EXIT_OK
+    assert json.loads(out.read_text())["certificate"]["feasible_for"] == "full"
+
+
 def test_relax_degenerate_exit_code(tmp_path, capsys):
     inst = tmp_path / "deg.json"
     run(["gen", "--variant", "knapsack", "--d", "5", "--seed", "0", "-o", str(inst)])

@@ -307,12 +307,11 @@ def test_rank_completion_raises_exactly_when_the_space_spans_less_than_p(inst, s
         if not full:
             with pytest.raises(pricing.DegenerateInstanceError):
                 LS.initial_design(inst, seed=seed, pricer=pricer)
-            if X.shape[0]:  # CG would first spend 10^5 draws on an empty space
-                with pytest.raises(pricing.DegenerateInstanceError):
-                    R._initial_points(inst, M.make_rng(seed), pricer)
+            with pytest.raises(pricing.DegenerateInstanceError):
+                R._initial_points(inst, inst.space.draws(M.make_rng(seed)), pricer)
             return
         design = LS.initial_design(inst, seed=seed, pricer=pricer)
-        xs = R._initial_points(inst, M.make_rng(seed), pricer)
+        xs = R._initial_points(inst, inst.space.draws(M.make_rng(seed)), pricer)
     assert sum(design.support.values()) == inst.k
     assert design.info.rank == inst.p
     assert len(set(xs)) == len(xs)
@@ -345,7 +344,7 @@ def test_priced_rank_completion_after_one_stalled_draw(monkeypatch, enum_thresho
         assert design.info.rank == inst.p and sum(design.support.values()) == inst.k
         assert all(inst.space.contains(x) for x in design.support)
         pricer.exact_calls = 0
-        xs = R._initial_points(inst, M.make_rng(cg_seed), pricer)
+        xs = R._initial_points(inst, inst.space.draws(M.make_rng(cg_seed)), pricer)
         assert pricer.exact_calls > 0
         assert all(inst.space.contains(x) for x in xs)
         assert np.linalg.matrix_rank(inst.model.evaluate_many(np.array(xs))) == inst.p
@@ -361,7 +360,7 @@ def test_degeneracy_proof_states_the_span_rank(monkeypatch, enum_threshold):
         pricer = pricing.Pricer(inst.space, inst.model)
         for solve in (
             lambda: LS.initial_design(inst, seed=0, pricer=pricer),
-            lambda: R._initial_points(inst, M.make_rng(0), pricer),
+            lambda: R._initial_points(inst, inst.space.draws(M.make_rng(0)), pricer),
         ):
             with pytest.raises(pricing.DegenerateInstanceError, match=f"span rank {span} <"):
                 solve()

@@ -81,11 +81,12 @@ def test_master_rejects_rank_deficient_points():
         R.solve_restricted_master([(0,), (1,)], V, 4)
 
 
-def test_master_iteration_cap():
+def test_master_iteration_cap(monkeypatch):
+    monkeypatch.setattr(R, "MASTER_ITER_CAP", 1)
     inst = M.generate_knapsack_instance(5, seed=2)
     xs, V = enumerate_points(inst)
     with pytest.raises(R.MasterConvergenceError):
-        R.solve_restricted_master(xs, V, inst.k, max_iters=1)
+        R.solve_restricted_master(xs, V, inst.k)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +220,40 @@ def test_cg_dual_mode_switch_with_large_gamma():
     assert "dual" in modes
     switch = modes.index("dual")
     assert all(m == "dual" for m in modes[switch:])  # switch is permanent
+
+
+@pytest.mark.parametrize(
+    "seeds, epsilon", [(range(30), R.EPSILON), (range(1), 1e-3)], ids=["default", "1e-3"]
+)
+def test_cg_master_is_monotone_and_gap_within_epsilon_bound(seeds, epsilon):
+    # CG seed 10 raised MasterConvergenceError after about 9 s while the
+    # master had its own fixed 1e-7 leverage tolerance
+    inst = M.generate_knapsack_instance(8, seed=82)
+    pricer = Pricer(inst.space, inst.model)
+    bound = inst.p * ((1 + epsilon) ** 2 - 1)
+    for seed in seeds:
+        params = R.CGParams(seed=seed, epsilon=epsilon)
+        cd, cert, trace = R.column_generation(inst, pricer, params)
+        objs = [entry["master_obj"] for entry in trace]
+        assert all(b >= a - 1e-9 for a, b in zip(objs, objs[1:])), seed
+        assert cert.feasible_for == "full"
+        assert cert.objective - cd.objective <= bound + 1e-9, seed
+
+
+def test_cg_returns_at_most_the_support_bound():
+    # near the optimum the stall test switches to dual mode, whose rounds add
+    # 2(p - 1)^2 random columns without sparsifying
+    inst = M.generate_cardinality_instance(9)
+    pricer = Pricer(inst.space, inst.model)
+    final_sparsify = False
+    for seed in range(3):
+        cd, cert, trace = R.column_generation(inst, pricer, R.CGParams(seed=seed))
+        assert cert.feasible_for == "full"
+        assert len(cd.xs) == trace[-1]["n_points"] <= R.support_bound(inst.p)
+        assert np.all(cd.weights > 0) and cd.weights.sum() == pytest.approx(inst.k)
+        assert cd.objective == pytest.approx(-np.linalg.slogdet(cert.Lambda)[1], abs=1e-9)
+        final_sparsify |= trace[-1]["sparsified"]
+    assert final_sparsify
 
 
 def test_cg_iteration_cap_raises():
