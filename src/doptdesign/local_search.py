@@ -1,10 +1,11 @@
-"""Pricing-based local search: downdate, price, exchange while improving.
+"""Pricing-based local search: price every exchange, apply the first that improves.
 
 One move removes a copy of a support experiment and adds a feasible
 experiment found by the pricing problem; it is accepted when the log
-determinant gain clears a relative tolerance.  A terminal state is a proved
-local optimum when every support point was certified by an exact pricing
-solve.
+determinant gain clears a relative tolerance.  Every exchange is priced by
+Fedorov's identity from one S^{-1} per step (``exchange_pricing``), also
+when removing the point drops the rank.  A terminal state is a proved local
+optimum when every support point was certified by an exact pricing solve.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .model import Instance, MonomialModel, make_rng
 from .psd_linalg import (
     InfoMatrix,
     RankError,
-    log_kdet,
     pricing_matrix,
     rank_one_downdate,
     rank_one_update,
@@ -129,6 +129,18 @@ def _scan_order(design: Design) -> list[tuple]:
     return sorted(design.support, key=lambda x: (-design.support[x], x))
 
 
+def exchange_pricing(Sinv: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
+    """Fedorov's identity: det(S - vv^T + xx^T) / det S = keep + x^T G x.
+
+    With d(a, b) = a^T S^{-1} b this is (1 - d(v))(1 + d(x)) + d(v, x)^2, so
+    keep = 1 - d(v) = det(S - vv^T) / det S (zero up to rounding when the
+    removal drops the rank) and G = keep S^{-1} + S^{-1}vv^TS^{-1}.
+    """
+    u = Sinv @ v
+    keep = 1.0 - float(v @ u)
+    return keep, keep * Sinv + np.outer(u, u)
+
+
 def exchange_step(
     design: Design,
     pricer: Pricer,
@@ -144,32 +156,22 @@ def exchange_step(
     S = design.info
     if S.rank < model.p:
         raise RankError("design is rank deficient; cannot search from it")
-    old = S.logdet
-    tol_abs = tol_improve * max(1.0, abs(old))
+    tol_abs = tol_improve * max(1.0, abs(S.logdet))
+    Sinv = pricing_matrix(S)
     out = StepOutcome(move=None, design=design)
 
     for x_out in _scan_order(design):
-        v_out = model.evaluate(x_out).astype(float)
-        S_minus = rank_one_downdate(S, v_out)
-        if S_minus.rank == model.p:
-            log_base = S_minus.logdet
-        elif S_minus.rank == model.p - 1:
-            log_base = log_kdet(S_minus, model.p - 1)
-        else:
-            raise RankError("downdate lost more than one rank; design is corrupted")
-        G = pricing_matrix(S_minus)
+        keep, G = exchange_pricing(Sinv, model.evaluate(x_out).astype(float))
         # any pricing value above this yields a logdet gain above tol_abs
-        target = math.exp(old + tol_abs - log_base) - 1.0
-        if S_minus.rank < model.p:
-            target = math.exp(old + tol_abs - log_base)
+        target = math.exp(tol_abs) - keep
 
         hres = pricer.heuristic(G, np.array(x_out))
         if hres.value > target:
-            return _apply(design, x_out, hres, S_minus, log_base, "heuristic", out)
+            return _apply(design, x_out, hres, "heuristic", out)
         eres = pricer.exact(G, incumbent=hres, target=target)
         out.ip_calls += 1
         if eres.value > target:
-            return _apply(design, x_out, eres, S_minus, log_base, "ip", out)
+            return _apply(design, x_out, eres, "ip", out)
         if not eres.exact:
             out.inconclusive = True
     out.proved = not out.inconclusive
@@ -180,8 +182,6 @@ def _apply(
     design: Design,
     x_out: tuple,
     res: PricingResult,
-    S_minus: InfoMatrix,
-    log_base: float,
     kind: str,
     out: StepOutcome,
 ) -> StepOutcome:
@@ -191,8 +191,9 @@ def _apply(
     if support[x_out] == 0:
         del support[x_out]
     support[x_in] = support.get(x_in, 0) + 1
-    # S has integer entries, so this sum is exact: it equals a fresh from_support
-    info = rank_one_update(S_minus, design.model.evaluate(x_in))
+    # S has integer entries, so these sums are exact: they equal a fresh from_support
+    p_of = design.model.evaluate
+    info = rank_one_update(rank_one_downdate(design.info, p_of(x_out)), p_of(x_in))
     new_design = Design(support=support, k=design.k, model=design.model, info=info)
     move = ExchangeMove(
         x_out=x_out, x_in=x_in, new_logdet=new_design.logdet, move_kind=kind
@@ -212,12 +213,23 @@ def run(
     tol_improve: float = TOL_IMPROVE,
     max_iters: int = 10_000,
 ) -> tuple[Design, LocalSearchReport]:
-    """Iterate exchange steps until a (proved or inconclusive) local optimum."""
+    """Iterate exchange steps until a (proved or inconclusive) local optimum.
+
+    A warm start that is not a rank-p design of k feasible points raises ValueError.
+    """
     if pricer is None:
         pricer = Pricer(instance.space, instance.model)
-    design = warm_start if warm_start is not None else initial_design(instance, seed, pricer)
-    if design.info.rank < instance.p:
-        raise DegenerateInstanceError("starting design is rank deficient")
+    if warm_start is None:
+        design = initial_design(instance, seed, pricer)
+    else:
+        design = warm_start
+        outside = [x for x in design.support if not instance.space.contains(x)]
+        if design.k != instance.k:
+            raise ValueError(f"warm start has k = {design.k}, the instance has k = {instance.k}")
+        if outside:
+            raise ValueError(f"warm start point {list(outside[0])} is not in the experiment space")
+        if design.info.rank < instance.p:
+            raise ValueError(f"warm start has rank {design.info.rank} < p = {instance.p}")
     report = LocalSearchReport()
     last_logdet = design.logdet
     for _ in range(max_iters):

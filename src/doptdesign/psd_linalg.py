@@ -1,14 +1,16 @@
-"""Symmetric PSD kernel: log-determinants, rank-one exchange identities.
+"""Symmetric PSD kernel: log-determinants, rank-one update identities.
 
 Information matrices here are small and dense (p up to a few hundred), so
-every factorization is a full symmetric eigendecomposition.  The exchange
+every factorization is a full symmetric eigendecomposition.  The update
 identities are
 
     det(S + v v^T) = det(S) (1 + v^T S^{-1} v)          when rank(S) = p,
     det(S + v v^T) = kdet_{p-1}(S) v^T (I - S^+ S) v    when rank(S) = p - 1,
 
 with S^+ the Moore-Penrose pseudoinverse and kdet_m the product of the m
-largest eigenvalues.
+largest eigenvalues.  Local search prices exchanges with ``pricing_matrix``
+(S^{-1}) through Fedorov's identity, which covers both cases (see
+``local_search``).
 """
 
 from __future__ import annotations
@@ -74,11 +76,6 @@ class InfoMatrix:
             raise RankError("matrix is singular")
         return (self.evecs / self.evals) @ self.evecs.T
 
-    def range_projector(self) -> np.ndarray:
-        """Orthogonal projector onto the column space, i.e. S^+ S."""
-        U = self.evecs[:, self.evals > 0]
-        return U @ U.T
-
 
 def logdet(S: InfoMatrix) -> float:
     """Natural-log determinant; -inf when rank deficient."""
@@ -92,16 +89,6 @@ def kdet(S: InfoMatrix, m: int) -> float:
     if not 1 <= m <= S.p:
         raise ValueError(f"need 1 <= m <= {S.p}, got {m}")
     return float(np.prod(np.sort(S.evals)[::-1][:m]))
-
-
-def log_kdet(S: InfoMatrix, m: int) -> float:
-    """Log of kdet; -inf when any of the m largest eigenvalues vanishes."""
-    if not 1 <= m <= S.p:
-        raise ValueError(f"need 1 <= m <= {S.p}, got {m}")
-    top = np.sort(S.evals)[::-1][:m]
-    if np.any(top <= 0):
-        return -np.inf
-    return float(np.sum(np.log(top)))
 
 
 def det_update_full_rank(S: InfoMatrix, v: np.ndarray) -> float:
@@ -131,13 +118,8 @@ def det_update_rank_deficient(S: InfoMatrix, v: np.ndarray) -> float:
 
 
 def pricing_matrix(S: InfoMatrix) -> np.ndarray:
-    """The matrix scored by the pricing problem: S^{-1}, or I - S^+ S at rank p-1."""
-    if S.rank == S.p:
-        G = S.inverse()
-    elif S.rank == S.p - 1:
-        G = np.eye(S.p) - S.range_projector()
-    else:
-        raise RankError(f"rank {S.rank} < p-1 = {S.p - 1}")
+    """S^{-1}, symmetrised; RankError when S is singular."""
+    G = S.inverse()
     return 0.5 * (G + G.T)
 
 

@@ -83,6 +83,40 @@ def test_ls_soft_failure_exit_code(inst_path, monkeypatch):
     assert code == cli.EXIT_SOFT_FAILURE
 
 
+@pytest.mark.parametrize(
+    "points,k,message",
+    [
+        # cardinality d=4 has k = 10 and the five points with at most one 1
+        ([("0000", 3), ("1000", 1), ("0100", 1), ("0010", 1), ("0001", 1)], 7,
+         "warm start has k = 7, the instance has k = 10"),
+        ([("0000", 4), ("1000", 2), ("0100", 2), ("0010", 2)], 10,
+         "warm start has rank 4 < p = 5"),
+        ([("0000", 5), ("1100", 2), ("0010", 1), ("0001", 1), ("1000", 1)], 10,
+         "warm start point [1, 1, 0, 0] is not in the experiment space"),
+    ],
+    ids=["wrong-k", "rank-deficient", "infeasible-point"],
+)
+def test_ls_rejects_invalid_warm_start(tmp_path, capsys, points, k, message):
+    inst = tmp_path / "card.json"
+    run(["gen", "--variant", "cardinality", "--d", "4", "-o", str(inst)])
+    warm = tmp_path / "warm.json"
+    warm.write_text(json.dumps({
+        "points": [{"x": [int(c) for c in x], "lambda": m} for x, m in points], "k": k,
+    }))
+    capsys.readouterr()
+    code = run(["ls", "--instance", str(inst), "--warm-start", str(warm)])
+    assert code == cli.EXIT_USAGE
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "ValueError", "message": message}
+
+
+def test_brute_over_cap_is_usage_error(inst_path, capsys):
+    assert run(["brute", "--instance", str(inst_path), "--cap", "10"]) == cli.EXIT_USAGE
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "BruteForceCapError"
+    assert err["message"].endswith("multisets exceed cap 10")
+
+
 def test_relax_certificate_payload(inst_path, tmp_path):
     out = tmp_path / "rx.json"
     assert run(["relax", "--instance", str(inst_path), "-o", str(out)]) == cli.EXIT_OK
