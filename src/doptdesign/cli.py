@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, bench, local_search, model, relaxation
 from .pricing import DegenerateInstanceError, DoptError, Pricer
 
@@ -69,8 +67,13 @@ def _write_manifest(path: str | None, command: str, inst, args: dict) -> None:
     Path(str(path) + ".manifest.json").write_text(json.dumps(manifest, indent=2))
 
 
-def _load_instance(path: str) -> model.Instance:
-    return model.instance_from_json(Path(path).read_text())
+def _load(path: str, from_dict):
+    """``from_dict`` of the JSON in ``path``; a wrong shape is a ValueError naming the file."""
+    data = json.loads(Path(path).read_text())
+    try:
+        return from_dict(data)
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"{path} does not have the expected shape: {exc}") from exc
 
 
 def _cmd_gen(args) -> int:
@@ -82,13 +85,11 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_ls(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = _load(args.instance, model.instance_from_dict)
     pricer = Pricer(inst.space, inst.model, node_limit=args.bb_nodes)
     warm = None
     if args.warm_start:
-        warm = local_search.Design.from_dict(
-            inst.model, json.loads(Path(args.warm_start).read_text())
-        )
+        warm = _load(args.warm_start, lambda data: local_search.Design.from_dict(inst.model, data))
     design, report = local_search.run(
         inst,
         seed=args.seed,
@@ -112,7 +113,7 @@ def _cmd_ls(args) -> int:
 
 
 def _cmd_relax(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = _load(args.instance, model.instance_from_dict)
     pricer = Pricer(inst.space, inst.model, node_limit=args.bb_nodes)
     params = relaxation.CGParams(
         delta=args.delta,
@@ -168,7 +169,7 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_brute(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = _load(args.instance, model.instance_from_dict)
     result = bench.brute_force_dopt(inst, cap=args.cap)
     if result.optimal_design is None:
         raise DegenerateInstanceError("no rank-p design of size k exists in this space")

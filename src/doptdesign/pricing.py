@@ -4,6 +4,9 @@ Three routes share one interface: a bit-flip/bit-swap ascent, exhaustive
 enumeration, and an exact branch-and-bound over a linearization in which
 every multilinear bit product gets an auxiliary variable with its McCormick
 envelope.  Levels beyond two are binarized with ceil(log2 L) bits per factor.
+Every route reports ``quad_value(G, p(x))`` for the x it returns: batches are
+screened with ``quad_values`` plus a rounding slack, and ``quad_value`` decides
+among the rows kept, so neither value nor choice depends on the batch shape.
 """
 
 from __future__ import annotations
@@ -59,8 +62,25 @@ class PricingResult:
 
 
 def quad_value(G: np.ndarray, v: np.ndarray) -> float:
+    """The pricing value p^T G p of one design point; every route reports this."""
     v = np.asarray(v, dtype=float)
     return float(v @ G @ v)
+
+
+def quad_values(G: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """p^T G p for every row p of P, in one batched product."""
+    return np.einsum("ij,ij->i", P @ G, P)
+
+
+def _screen(G: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on ``quad_value`` of every row of P.
+
+    P >= 0, so gmax * (sum p)^2 bounds p^T |G| p, and the batched and scalar
+    values differ by far less than 1e-9 of that bound.
+    """
+    vals = quad_values(G, P)
+    slack = 1e-9 * np.abs(G).max() * P.sum(axis=1) ** 2
+    return vals - slack, vals + slack
 
 
 @lru_cache(maxsize=64)
@@ -97,12 +117,9 @@ def _first_improvement(
     if not X.shape[0]:
         return None, value, 0
     P = model.evaluate_many(X).astype(float)
-    batch = np.einsum("ij,ij->i", P @ G, P)
-    # P >= 0, so gmax * (sum p)^2 bounds p^T |G| p, and the batched and
-    # scalar values differ by far less than 1e-9 of that bound.
-    slack = 1e-9 * np.abs(G).max() * P.sum(axis=1) ** 2
-    for m in np.flatnonzero(batch + slack > value):
-        cand = quad_value(G, model.evaluate(X[m]))
+    _, upper = _screen(G, P)
+    for m in np.flatnonzero(upper > value):
+        cand = quad_value(G, P[m])
         if cand > value:
             return X[m].copy(), cand, int(m) + 1
     return None, value, X.shape[0]
@@ -139,14 +156,14 @@ def heuristic_search(
 
 
 def _best_row(G: np.ndarray, X: np.ndarray, P: np.ndarray) -> PricingResult:
-    """Exact optimum over the enumeration X with design points P."""
+    """Exact optimum over X (points P): the first maximum of ``quad_value`` on screened rows."""
     if X.shape[0] == 0:
         raise EmptySpaceError("feasible set is empty")
-    vals = np.einsum("ij,jk,ik->i", P, G, P)
-    best = int(np.argmax(vals))  # first argmax = lexicographically smallest
-    return PricingResult(
-        x=X[best].copy(), value=float(vals[best]), exact=True, nodes=X.shape[0]
-    )
+    lower, upper = _screen(G, P)
+    rows = np.flatnonzero(upper >= lower.max())
+    vals = [quad_value(G, P[i]) for i in rows]
+    best = int(np.argmax(vals))
+    return PricingResult(x=X[rows[best]].copy(), value=vals[best], exact=True, nodes=X.shape[0])
 
 
 def solve_enum(

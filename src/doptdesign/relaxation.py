@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import null_space
 
 from .model import Instance, make_rng
-from .pricing import DoptError, Pricer, complete_rank
+from .pricing import DoptError, Pricer, complete_rank, quad_values
 
 TOL_MASTER = 1e-7  # leverage tolerance of a direct master solve
 MASTER_ITER_CAP = 100_000
@@ -120,7 +120,7 @@ def solve_restricted_master(
     def leverages(w):
         M = (V * w[:, None]).T @ V
         Minv = np.linalg.inv(M)
-        return np.einsum("ij,jk,ik->i", V, Minv, V), Minv
+        return quad_values(Minv, V), Minv
 
     for _ in range(MASTER_ITER_CAP):
         lev, _ = leverages(w)
@@ -154,7 +154,7 @@ def dual_from_primal(cd: ContinuousDesign) -> DualCertificate:
         raise ValueError("moment matrix is singular")
     Lambda = np.linalg.inv(M)
     Lambda = 0.5 * (Lambda + Lambda.T)
-    lev = np.einsum("ij,jk,ik->i", cd.points, Lambda, cd.points)
+    lev = quad_values(Lambda, cd.points)
     return DualCertificate(Lambda=Lambda, nu=float(lev.max()), k=cd.k)
 
 
@@ -254,6 +254,20 @@ def _initial_points(instance: Instance, draws, pricer: Pricer) -> list:
     return xs + complete_rank(pricer, xs, draws)
 
 
+def _trace_row(it, cd, cert, alpha, mode, sparsified, ip_solved) -> dict:
+    """One CG trace row: the master after iteration ``it`` and what the iteration did."""
+    return {
+        "iter": it,
+        "master_obj": cd.objective,
+        "nu": cert.nu,
+        "alpha": alpha,
+        "mode": mode,
+        "n_points": len(cd.xs),
+        "sparsified": sparsified,
+        "ip_solved": ip_solved,
+    }
+
+
 def column_generation(
     instance: Instance,
     pricer: Pricer | None = None,
@@ -284,23 +298,11 @@ def column_generation(
     cd = solve_restricted_master(xs, points, k, tol=params.epsilon)
     cert = dual_from_primal(cd)
     mode = "primal"
-    prev_obj = cd.objective
-    trace = [
-        {
-            "iter": 0,
-            "master_obj": prev_obj,
-            "nu": cert.nu,
-            "alpha": None,
-            "mode": mode,
-            "n_points": len(cd.xs),
-            "sparsified": False,
-            "ip_solved": False,
-        }
-    ]
+    trace = [_trace_row(0, cd, cert, None, mode, False, False)]
 
     for it in range(1, params.max_iters + 1):
         # heuristic pricing from the currently most violated stored experiment
-        lev = np.einsum("ij,jk,ik->i", cd.points, cert.Lambda, cd.points)
+        lev = quad_values(cert.Lambda, cd.points)
         start = np.array(cd.xs[int(np.argmax(lev))])
         hres = pricer.heuristic(cert.Lambda, start)
         ip_solved = False
@@ -317,18 +319,7 @@ def column_generation(
                 sparsified = len(cd.xs) > support_bound(p)
                 if sparsified:  # dual mode adds columns without sparsifying
                     cd = sparsify(cd)
-                trace.append(
-                    {
-                        "iter": it,
-                        "master_obj": cd.objective,
-                        "nu": cert.nu,
-                        "alpha": alpha,
-                        "mode": mode,
-                        "n_points": len(cd.xs),
-                        "sparsified": sparsified,
-                        "ip_solved": True,
-                    }
-                )
+                trace.append(_trace_row(it, cd, cert, alpha, mode, sparsified, True))
                 return cd, final, trace
             entering = tuple(int(t) for t in x_star)
         else:
@@ -354,24 +345,11 @@ def column_generation(
         w0 = np.concatenate([cd.weights, np.zeros(len(new_xs))])
         cd = solve_restricted_master(xs, points, k, tol=params.epsilon, weights0=w0)
         cert = dual_from_primal(cd)
-        obj = cd.objective
-        trace.append(
-            {
-                "iter": it,
-                "master_obj": obj,
-                "nu": cert.nu,
-                "alpha": alpha,
-                "mode": mode,
-                "n_points": len(cd.xs),
-                "sparsified": sparsified,
-                "ip_solved": ip_solved,
-            }
-        )
+        trace.append(_trace_row(it, cd, cert, alpha, mode, sparsified, ip_solved))
         if mode == "primal":
-            improvement = (obj - prev_obj) / max(1.0, abs(prev_obj))
-            if improvement < params.gamma:
+            prev_obj, obj = trace[-2]["master_obj"], trace[-1]["master_obj"]
+            if (obj - prev_obj) / max(1.0, abs(prev_obj)) < params.gamma:
                 mode = "dual"
-        prev_obj = obj
     raise ColumnGenerationError(
         f"no certificate within {params.max_iters} iterations"
     )

@@ -110,6 +110,26 @@ def test_ls_rejects_invalid_warm_start(tmp_path, capsys, points, k, message):
     assert err == {"error": "ValueError", "message": message}
 
 
+@pytest.mark.parametrize("bad", ["instance-list", "instance-exponents", "warm-start-list"])
+def test_ls_input_of_the_wrong_shape_is_a_usage_error(inst_path, tmp_path, capsys, bad):
+    path = tmp_path / "bad.json"
+    if bad == "instance-exponents":
+        data = json.loads(inst_path.read_text())
+        data["model"] = {"exponents": 5}
+        path.write_text(json.dumps(data))
+    else:
+        path.write_text("[1, 2]")
+    argv = ["ls", "--instance", str(path)]
+    if bad == "warm-start-list":
+        argv = ["ls", "--instance", str(inst_path), "--warm-start", str(path)]
+    capsys.readouterr()
+    assert run(argv) == cli.EXIT_USAGE
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ValueError" and err["message"].startswith(str(path))
+
+
 def test_brute_over_cap_is_usage_error(inst_path, capsys):
     assert run(["brute", "--instance", str(inst_path), "--cap", "10"]) == cli.EXIT_USAGE
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])

@@ -84,7 +84,7 @@ def test_enum_matches_dense_scan():
     res = pricing.solve_enum(G, space, mono)
     X = M.enumerate_space(space)
     vals = [pricing.quad_value(G, mono.evaluate(x)) for x in X]
-    assert np.isclose(res.value, max(vals))
+    assert res.value == max(vals)
 
 
 def test_enum_tie_break_lexicographic():
@@ -424,6 +424,8 @@ def test_pricer_enumerates_once_and_matches_solve_enum(inst, seed, n_prices):
                 want = pricing.solve_enum(G, inst.space, inst.model)
             except pricing.EmptySpaceError:
                 want = None
+            X = M.enumerate_space(inst.space)
+            scan = [pricing.quad_value(G, inst.model.evaluate(x)) for x in X]
             before = dict(calls)
             if want is None:
                 with pytest.raises(pricing.EmptySpaceError):
@@ -434,6 +436,8 @@ def test_pricer_enumerates_once_and_matches_solve_enum(inst, seed, n_prices):
                 assert got.x.tolist() == want.x.tolist()
                 assert got.value == want.value  # bit-equal
                 assert got.nodes == want.nodes
+                assert got.value == pricing.quad_value(G, inst.model.evaluate(got.x))
+                assert got.x.tolist() == X[int(np.argmax(scan))].tolist()  # first maximum
             for name in calls:
                 pricer_calls[name] += calls[name] - before[name]
     assert pricer_calls == {"enumerate_space": 1, "evaluate_many": 1}
