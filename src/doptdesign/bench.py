@@ -107,7 +107,6 @@ def run_suite(
     d_range,
     k_rule=None,
     seeds=(0,),
-    cg_params: relaxation.CGParams | None = None,
 ) -> SuiteReport:
     """Local search + column generation over a grid of instances.
 
@@ -134,9 +133,10 @@ def run_suite(
                 row["ls_value"] = ls_report.final_logdet
                 row["ip_calls"] = ls_report.ip_calls
                 row["iterations"] = ls_report.iterations
-                params = replace(cg_params or relaxation.CGParams(), seed=seed)
                 t0 = time.perf_counter()
-                _, cert, _ = relaxation.column_generation(inst, pricer, params)
+                _, cert, _ = relaxation.column_generation(
+                    inst, pricer, relaxation.CGParams(seed=seed)
+                )
                 row["cg_time"] = time.perf_counter() - t0
                 row["relax_value"] = cert.objective
                 row["gap"] = row["relax_value"] - row["ls_value"]

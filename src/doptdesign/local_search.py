@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import cycle, islice
 
 import numpy as np
 
-from .model import Instance, MonomialModel, make_rng
+from .model import Instance, MonomialModel, make_rng, random_feasible
 from .psd_linalg import (
     InfoMatrix,
     RankError,
@@ -25,9 +25,10 @@ from .psd_linalg import (
     rank_one_downdate,
     rank_one_update,
 )
-from .pricing import DegenerateInstanceError, Pricer, PricingResult, complete_rank
+from .pricing import DegenerateInstanceError, Pricer, complete_rank
 
 TOL_IMPROVE = 1e-9
+LS_ITER_CAP = 10_000  # exchange steps one run may take
 
 
 @dataclass
@@ -99,10 +100,13 @@ def initial_design(instance: Instance, seed: int = 0, pricer: Pricer | None = No
 
     ``complete_rank`` keeps the samples that add rank (or proves the space
     spans less than rank p); the next feasible samples fill the design to k.
+    Slots still empty after RANDOM_DRAW_CAP samples repeat the rank-completing
+    points in order.
     """
     draws = instance.space.draws(make_rng(seed))
-    kept = complete_rank(pricer or Pricer(instance.space, instance.model), [], draws)
-    kept += islice((x for x in draws if x is not None), instance.k - len(kept))
+    basis = complete_rank(pricer or Pricer(instance.space, instance.model), [], draws)
+    kept = basis + random_feasible(draws, instance.k - len(basis))
+    kept += islice(cycle(basis), instance.k - len(kept))
     return Design.from_support(instance.model, Counter(kept), instance.k)
 
 
@@ -114,14 +118,17 @@ class ExchangeMove:
     move_kind: str  # "heuristic" or "ip"
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepOutcome:
     move: ExchangeMove | None
     design: Design
-    heuristic_moves: int = 0
-    ip_calls: int = 0
-    proved: bool = False
-    inconclusive: bool = False
+    ip_calls: int
+    inconclusive: bool
+
+    @property
+    def proved(self) -> bool:
+        """No move, and every support point was certified by an exact pricing solve."""
+        return self.move is None and not self.inconclusive
 
 
 def _scan_order(design: Design) -> list[tuple]:
@@ -158,34 +165,28 @@ def exchange_step(
         raise RankError("design is rank deficient; cannot search from it")
     tol_abs = tol_improve * max(1.0, abs(S.logdet))
     Sinv = pricing_matrix(S)
-    out = StepOutcome(move=None, design=design)
-
+    ip_calls = 0
+    inconclusive = False
     for x_out in _scan_order(design):
         keep, G = exchange_pricing(Sinv, model.evaluate(x_out).astype(float))
         # any pricing value above this yields a logdet gain above tol_abs
         target = math.exp(tol_abs) - keep
 
-        hres = pricer.heuristic(G, np.array(x_out))
-        if hres.value > target:
-            return _apply(design, x_out, hres, "heuristic", out)
-        eres = pricer.exact(G, incumbent=hres, target=target)
-        out.ip_calls += 1
-        if eres.value > target:
-            return _apply(design, x_out, eres, "ip", out)
-        if not eres.exact:
-            out.inconclusive = True
-    out.proved = not out.inconclusive
-    return out
+        res, kind = pricer.heuristic(G, np.array(x_out)), "heuristic"
+        if res.value <= target:
+            res, kind = pricer.exact(G, incumbent=res, target=target), "ip"
+            ip_calls += 1
+        if res.value > target:
+            x_in = tuple(int(t) for t in res.x)
+            new = _apply(design, x_out, x_in)
+            move = ExchangeMove(x_out=x_out, x_in=x_in, new_logdet=new.logdet, move_kind=kind)
+            return StepOutcome(move, new, ip_calls, inconclusive=False)
+        inconclusive |= not res.exact
+    return StepOutcome(None, design, ip_calls, inconclusive)
 
 
-def _apply(
-    design: Design,
-    x_out: tuple,
-    res: PricingResult,
-    kind: str,
-    out: StepOutcome,
-) -> StepOutcome:
-    x_in = tuple(int(t) for t in res.x)
+def _apply(design: Design, x_out: tuple, x_in: tuple) -> Design:
+    """The design with one copy of x_out exchanged for x_in."""
     support = dict(design.support)
     support[x_out] -= 1
     if support[x_out] == 0:
@@ -194,15 +195,7 @@ def _apply(
     # S has integer entries, so these sums are exact: they equal a fresh from_support
     p_of = design.model.evaluate
     info = rank_one_update(rank_one_downdate(design.info, p_of(x_out)), p_of(x_in))
-    new_design = Design(support=support, k=design.k, model=design.model, info=info)
-    move = ExchangeMove(
-        x_out=x_out, x_in=x_in, new_logdet=new_design.logdet, move_kind=kind
-    )
-    out.move = move
-    out.design = new_design
-    if kind == "heuristic":
-        out.heuristic_moves += 1
-    return out
+    return Design(support=support, k=design.k, model=design.model, info=info)
 
 
 def run(
@@ -211,7 +204,6 @@ def run(
     warm_start: Design | None = None,
     pricer: Pricer | None = None,
     tol_improve: float = TOL_IMPROVE,
-    max_iters: int = 10_000,
 ) -> tuple[Design, LocalSearchReport]:
     """Iterate exchange steps until a (proved or inconclusive) local optimum.
 
@@ -232,10 +224,9 @@ def run(
             raise ValueError(f"warm start has rank {design.info.rank} < p = {instance.p}")
     report = LocalSearchReport()
     last_logdet = design.logdet
-    for _ in range(max_iters):
+    for _ in range(LS_ITER_CAP):
         report.iterations += 1
         outcome = exchange_step(design, pricer, tol_improve=tol_improve)
-        report.heuristic_moves += outcome.heuristic_moves
         report.ip_calls += outcome.ip_calls
         if outcome.move is None:
             report.proved_local_optimum = outcome.proved
@@ -250,6 +241,7 @@ def run(
         )
     else:
         report.inconclusive = True
+    report.heuristic_moves = sum(kind == "heuristic" for _, _, kind in report.trace)
     report.final_logdet = design.logdet
     return design, report
 

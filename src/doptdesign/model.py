@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Sequence
 
 import numpy as np
@@ -21,6 +21,7 @@ import numpy as np
 RNG_ALGORITHM = "pcg64"  # recorded in every emitted file for reproducibility
 DEFAULT_ENUM_CAP = 2**24  # membership tests one enumeration may run
 SAMPLE_BLOCK = 4096  # samples drawn and membership-tested together by ``draws``
+RANDOM_DRAW_CAP = 100_000  # samples one ``random_feasible`` request may read
 
 
 class EnumerationCapError(ValueError):
@@ -158,10 +159,17 @@ class ExperimentSpace:
         return self.L**self.d
 
 
-def enumerate_space(space: ExperimentSpace, cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
+def random_feasible(draws, count: int) -> list:
+    """The next ``count`` feasible samples of ``draws``, fewer if RANDOM_DRAW_CAP samples run out."""
+    return list(islice((x for x in islice(draws, RANDOM_DRAW_CAP) if x is not None), count))
+
+
+def enumerate_space(space: ExperimentSpace) -> np.ndarray:
     """All feasible experiments in lexicographic order, shape (n, d)."""
-    if space.L**space.d > cap:
-        raise EnumerationCapError(f"{space.L ** space.d} membership tests exceed cap {cap}")
+    if space.L**space.d > DEFAULT_ENUM_CAP:
+        raise EnumerationCapError(
+            f"{space.L ** space.d} membership tests exceed cap {DEFAULT_ENUM_CAP}"
+        )
     grid = space.count_grid()
     free = space.d - 1 if space.fixed_first else space.d
     # lexicographic order over the free coordinates, most significant first

@@ -7,6 +7,9 @@ envelope.  Levels beyond two are binarized with ceil(log2 L) bits per factor.
 Every route reports ``quad_value(G, p(x))`` for the x it returns: batches are
 screened with ``quad_values`` plus a rounding slack, and ``quad_value`` decides
 among the rows kept, so neither value nor choice depends on the batch shape.
+Branch-and-bound decides among the points it reaches as enumeration does:
+the larger ``quad_value`` wins, and an equal one goes to the smaller x in
+lexicographic order.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Iterable, Optional
 import numpy as np
 from scipy.optimize import linprog
 
-from .model import DEFAULT_ENUM_CAP, ExperimentSpace, MonomialModel, enumerate_space
+from .model import ExperimentSpace, MonomialModel, enumerate_space
 from .model import EnumerationCapError  # noqa: F401  (re-exported)
 
 DEFAULT_NODE_LIMIT = 10**6
@@ -58,7 +61,6 @@ class PricingResult:
     value: float
     exact: bool
     nodes: int
-    hit_node_limit: bool = False
 
 
 def quad_value(G: np.ndarray, v: np.ndarray) -> float:
@@ -166,14 +168,9 @@ def _best_row(G: np.ndarray, X: np.ndarray, P: np.ndarray) -> PricingResult:
     return PricingResult(x=X[rows[best]].copy(), value=vals[best], exact=True, nodes=X.shape[0])
 
 
-def solve_enum(
-    G: np.ndarray,
-    space: ExperimentSpace,
-    model: MonomialModel,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> PricingResult:
+def solve_enum(G: np.ndarray, space: ExperimentSpace, model: MonomialModel) -> PricingResult:
     """Exact optimum by enumeration; ties go to the lexicographically smallest x."""
-    X = enumerate_space(space, cap)
+    X = enumerate_space(space)
     return _best_row(G, X, model.evaluate_many(X).astype(float))
 
 
@@ -356,13 +353,6 @@ def build_linearization(
 # --------------------------------------------------------------------------
 
 
-def _lex_smaller(a: np.ndarray, b: np.ndarray) -> bool:
-    for ai, bi in zip(a, b):
-        if ai != bi:
-            return ai < bi
-    return False
-
-
 def solve_bb(
     G: np.ndarray,
     space: ExperimentSpace,
@@ -373,10 +363,15 @@ def solve_bb(
 ) -> PricingResult:
     """Exact branch-and-bound on the linearized program.
 
-    With a finite ``target``, returns early (exact=False) as soon as a point
-    with value > target is known; this is all a local-search improving move
-    needs.  Bounds come from the LP relaxation; branching picks the most
-    fractional bit.
+    A node is its (n_vars, 2) array of variable bounds, passed to the LP as
+    is: the root pins ``fixed_bits``, and each child copies its parent and
+    pins the most fractional free bit, child 1 explored first.  A leaf's
+    point replaces the incumbent when its ``quad_value`` is larger, or equal
+    with a lexicographically smaller x, as enumeration decides.  With a
+    finite ``target``, returns early (exact=False) as soon as a point with
+    value > target is known; this is all a local-search improving move
+    needs.  More than ``node_limit`` nodes also ends the search with
+    exact=False, or raises NodeLimitError when no point is known yet.
     """
     lin = build_linearization(G, space, model)
 
@@ -388,63 +383,43 @@ def solve_bb(
     if target is not None and best_val > target:
         return PricingResult(x=best_x, value=best_val, exact=False, nodes=0)
 
-    base_bounds = [(0.0, 1.0)] * lin.n_vars
+    root = np.tile([0.0, 1.0], (lin.n_vars, 1))
     for b, v in lin.fixed_bits.items():
-        base_bounds[b] = (float(v), float(v))
-
-    stack = [dict()]
+        root[b] = v
+    stack = [root]
     nodes = 0
     neg_c = -lin.c
     while stack:
-        fixed = stack.pop()
+        bounds = stack.pop()
         nodes += 1
         if nodes > node_limit:
             if best_x is None:
                 raise NodeLimitError("node limit hit before any feasible point was found")
-            return PricingResult(
-                x=best_x, value=best_val, exact=False, nodes=nodes, hit_node_limit=True
-            )
-        bounds = list(base_bounds)
-        for b, v in fixed.items():
-            bounds[b] = (float(v), float(v))
+            return PricingResult(x=best_x, value=best_val, exact=False, nodes=nodes)
         res = linprog(neg_c, A_ub=lin.A_ub, b_ub=lin.b_ub, bounds=bounds, method="highs")
         if res.status != 0:
             continue  # infeasible subproblem
         bound = lin.c0 - res.fun
-        safety = BOUND_SAFETY * max(1.0, abs(bound))
-        if best_x is not None and bound <= best_val - safety:
+        if best_x is not None and bound <= best_val - BOUND_SAFETY * max(1.0, abs(bound)):
             continue
         z = res.x[: lin.n_bits]
-        frac = np.abs(z - np.round(z))
-        branch_bit = -1
-        worst = 1e-6
-        for b in range(lin.n_bits):
-            if b in fixed or b in lin.fixed_bits:
-                continue
-            if frac[b] > worst:
-                worst = frac[b]
-                branch_bit = b
-        if branch_bit < 0:
-            x = lin.decode_bits(np.round(z))
-            if space.contains(x):
-                value = quad_value(G, model.evaluate(x))
-                if value > best_val or (
-                    best_x is not None
-                    and abs(value - best_val) <= 1e-12 * max(1.0, abs(best_val))
-                    and _lex_smaller(x, best_x)
-                ):
-                    if value > best_val:
-                        best_val = value
-                    best_x = x
-                    if target is not None and best_val > target:
-                        return PricingResult(
-                            x=best_x, value=best_val, exact=False, nodes=nodes
-                        )
+        free = bounds[: lin.n_bits, 0] < bounds[: lin.n_bits, 1]
+        frac = np.where(free, np.abs(z - np.round(z)), 0.0)
+        branch_bit = int(np.argmax(frac))
+        if frac[branch_bit] > 1e-6:
+            for v in (0.0, 1.0):
+                child = bounds.copy()
+                child[branch_bit] = v
+                stack.append(child)
             continue
-        for v in (0, 1):
-            child = dict(fixed)
-            child[branch_bit] = v
-            stack.append(child)
+        x = lin.decode_bits(np.round(z))
+        if not space.contains(x):
+            continue
+        value = quad_value(G, model.evaluate(x))
+        if value > best_val or (value == best_val and x.tolist() < best_x.tolist()):
+            best_x, best_val = x, value
+            if target is not None and best_val > target:
+                return PricingResult(x=best_x, value=best_val, exact=False, nodes=nodes)
     if best_x is None:
         raise EmptySpaceError("feasible set is empty")
     return PricingResult(x=best_x, value=best_val, exact=True, nodes=nodes)

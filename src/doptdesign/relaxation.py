@@ -16,21 +16,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 from scipy.linalg import null_space
 
-from .model import Instance, make_rng
+from .model import Instance, make_rng, random_feasible
 from .pricing import DoptError, Pricer, complete_rank, quad_values
 
 TOL_MASTER = 1e-7  # leverage tolerance of a direct master solve
 MASTER_ITER_CAP = 100_000
-RANDOM_DRAW_CAP = 100_000  # samples one request for random columns may read
 DELTA = 0.05
 EPSILON = 1e-4
 GAMMA = 1e-6
 CG_ITER_CAP = 500
+SPARSIFY_TOL = 1e-9  # kernel rank cut-off and the relative weight that counts as zero
 
 
 class MasterConvergenceError(DoptError, RuntimeError):
@@ -182,7 +181,7 @@ def support_bound(p: int) -> int:
     return math.comb(p, 2) + p + 1
 
 
-def sparsify(cd: ContinuousDesign, tol: float = 1e-9) -> ContinuousDesign:
+def sparsify(cd: ContinuousDesign) -> ContinuousDesign:
     """Reduce the support to at most C(p,2) + p + 1 points, moment preserved.
 
     Iterated null-space pivoting: move along a kernel direction of the
@@ -206,7 +205,7 @@ def sparsify(cd: ContinuousDesign, tol: float = 1e-9) -> ContinuousDesign:
 
     while len(active) > bound:
         B = columns(active)
-        kernel = null_space(B, rcond=tol)
+        kernel = null_space(B, rcond=SPARSIFY_TOL)
         if kernel.shape[1] == 0:
             raise ColumnGenerationError(
                 "no kernel direction found although support exceeds the bound; "
@@ -223,7 +222,7 @@ def sparsify(cd: ContinuousDesign, tol: float = 1e-9) -> ContinuousDesign:
         # drop everything that hit zero
         for i, wi in zip(list(active), w_active):
             w[i] = wi
-        active = [i for i in active if w[i] > tol * cd.k / max(n, 1)]
+        active = [i for i in active if w[i] > SPARSIFY_TOL * cd.k / max(n, 1)]
     keep = sorted(active)
     out = ContinuousDesign(
         xs=[cd.xs[i] for i in keep],
@@ -240,17 +239,11 @@ class CGParams:
     epsilon: float = EPSILON
     gamma: float = GAMMA
     seed: int = 0
-    max_iters: int = CG_ITER_CAP
-
-
-def _random_feasible(draws, count: int) -> list:
-    """The next ``count`` feasible samples, fewer if RANDOM_DRAW_CAP samples run out."""
-    return list(islice((x for x in islice(draws, RANDOM_DRAW_CAP) if x is not None), count))
 
 
 def _initial_points(instance: Instance, draws, pricer: Pricer) -> list:
     """2p random feasible experiments plus greedy rank completion, from ``draws``."""
-    xs = list(dict.fromkeys(_random_feasible(draws, 2 * instance.p)))
+    xs = list(dict.fromkeys(random_feasible(draws, 2 * instance.p)))
     return xs + complete_rank(pricer, xs, draws)
 
 
@@ -300,7 +293,7 @@ def column_generation(
     mode = "primal"
     trace = [_trace_row(0, cd, cert, None, mode, False, False)]
 
-    for it in range(1, params.max_iters + 1):
+    for it in range(1, CG_ITER_CAP + 1):
         # heuristic pricing from the currently most violated stored experiment
         lev = quad_values(cert.Lambda, cd.points)
         start = np.array(cd.xs[int(np.argmax(lev))])
@@ -326,7 +319,7 @@ def column_generation(
             entering = tuple(int(t) for t in hres.x)
 
         n_random = (p - 1) if mode == "primal" else 2 * (p - 1) ** 2
-        new_xs = [entering] + _random_feasible(draws, n_random)
+        new_xs = [entering] + random_feasible(draws, n_random)
         seen = set(cd.xs)
         new_xs = [x for x in dict.fromkeys(new_xs) if x not in seen]
 
@@ -351,5 +344,5 @@ def column_generation(
             if (obj - prev_obj) / max(1.0, abs(prev_obj)) < params.gamma:
                 mode = "dual"
     raise ColumnGenerationError(
-        f"no certificate within {params.max_iters} iterations"
+        f"no certificate within {CG_ITER_CAP} iterations"
     )

@@ -97,6 +97,32 @@ def test_initial_design_degenerate_raises():
         LS.initial_design(inst, seed=0)
 
 
+def test_initial_design_fill_reads_at_most_the_draw_cap(monkeypatch):
+    # 9 feasible points in a box of 256: each of the k - p = 9 fill slots needs
+    # about 28 samples, far more than the cap allows in all
+    monkeypatch.setattr(M, "RANDOM_DRAW_CAP", 16)
+    space = M.ExperimentSpace(d=8, L=2, constraints=(((1,) * 8, 1),))
+    inst = M.Instance(space=space, model=M.build_full_first_order(8), k=18)
+    draws, complete_rank = M.ExperimentSpace.draws, LS.complete_rank
+    reads = {"all": 0}
+
+    def counted_draws(self, rng):
+        for x in draws(self, rng):
+            reads["all"] += 1
+            yield x
+
+    def counted_rank(*args):
+        basis = complete_rank(*args)
+        reads["at_rank"] = reads["all"]
+        return basis
+
+    monkeypatch.setattr(M.ExperimentSpace, "draws", counted_draws)
+    monkeypatch.setattr(LS, "complete_rank", counted_rank)
+    design = LS.initial_design(inst, seed=0)
+    assert reads["all"] - reads["at_rank"] <= 16
+    assert design.info.rank == inst.p and sum(design.support.values()) == inst.k
+
+
 # ---------------------------------------------------------------------------
 # Exchange steps
 # ---------------------------------------------------------------------------
@@ -250,9 +276,10 @@ def test_ls_decisions_hold_in_exact_arithmetic(variant, d, k, gen, monkeypatch):
 
 def test_node_limit_marks_inconclusive(monkeypatch):
     monkeypatch.setattr(pricing, "ENUM_THRESHOLD", 1)
+    monkeypatch.setattr(LS, "LS_ITER_CAP", 3)
     inst = M.generate_knapsack_instance(17, seed=1)
     pricer = Pricer(inst.space, inst.model, node_limit=1)
-    design, report = LS.run(inst, seed=0, pricer=pricer, max_iters=3)
+    design, report = LS.run(inst, seed=0, pricer=pricer)
     assert report.inconclusive
     assert not report.proved_local_optimum
 

@@ -95,9 +95,9 @@ def test_enum_tie_break_lexicographic():
 
 
 def test_enum_cap_raises():
-    space, mono = first_order_setting(8)
+    space, mono = first_order_setting(25)  # 2^25 box points > DEFAULT_ENUM_CAP = 2^24
     with pytest.raises(pricing.EnumerationCapError):
-        pricing.solve_enum(np.eye(9), space, mono, cap=100)
+        pricing.solve_enum(np.eye(26), space, mono)
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +228,21 @@ def test_bb_node_limit_flags_soft_failure():
         x=x0, value=pricing.quad_value(G, mono.evaluate(x0)), exact=False, nodes=0
     )
     res = pricing.solve_bb(G, space, mono, incumbent=inc, node_limit=1)
-    assert res.hit_node_limit and not res.exact
+    assert not res.exact
     assert res.value >= inc.value
+
+
+@pytest.mark.parametrize("d,gen,bumps", [(5, 8, [0, 2, 0, 1, 0, 0]), (4, 45, [0, 0, 2, 1, 0])])
+def test_bb_near_tie_reports_the_value_of_its_point(d, gen, bumps):
+    # B&B reaches the best point first, then a lexicographically smaller one worse
+    # by 1e-13; it must keep the best, with its own value, as enumeration does
+    inst = M.generate_knapsack_instance(d, seed=gen)
+    G = np.eye(inst.p) + 1e-13 * np.diag(bumps)
+    G[0, 0] = 0.0
+    res = pricing.solve_bb(G, inst.space, inst.model)
+    enum = pricing.solve_enum(G, inst.space, inst.model)
+    assert res.value == pricing.quad_value(G, inst.model.evaluate(res.x))
+    assert res.value == enum.value and res.x.tolist() == enum.x.tolist()
 
 
 def test_bb_empty_feasible_set():

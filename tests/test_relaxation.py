@@ -256,8 +256,8 @@ def test_cg_returns_at_most_the_support_bound():
     assert final_sparsify
 
 
-def test_cg_iteration_cap_raises():
+def test_cg_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(R, "CG_ITER_CAP", 0)
     inst = M.generate_knapsack_instance(8, seed=82)
-    params = R.CGParams(seed=0, max_iters=0)
     with pytest.raises(R.ColumnGenerationError):
-        R.column_generation(inst, Pricer(inst.space, inst.model), params)
+        R.column_generation(inst, Pricer(inst.space, inst.model), R.CGParams(seed=0))
