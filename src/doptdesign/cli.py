@@ -84,12 +84,18 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _warm_start(inst, data: dict) -> local_search.Design:
+    """The design in ``data``, its points tested for membership before any is evaluated."""
+    local_search.check_warm_start_points(inst.space, [pt["x"] for pt in data["points"]])
+    return local_search.Design.from_dict(inst.model, data)
+
+
 def _cmd_ls(args) -> int:
     inst = _load(args.instance, model.instance_from_dict)
     pricer = Pricer(inst.space, inst.model, node_limit=args.bb_nodes)
     warm = None
     if args.warm_start:
-        warm = _load(args.warm_start, lambda data: local_search.Design.from_dict(inst.model, data))
+        warm = _load(args.warm_start, lambda data: _warm_start(inst, data))
     design, report = local_search.run(
         inst,
         seed=args.seed,

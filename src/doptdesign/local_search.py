@@ -17,7 +17,7 @@ from itertools import cycle, islice
 
 import numpy as np
 
-from .model import Instance, MonomialModel, make_rng, random_feasible
+from .model import ExperimentSpace, Instance, MonomialModel, make_rng, random_feasible
 from .psd_linalg import (
     InfoMatrix,
     RankError,
@@ -198,6 +198,13 @@ def _apply(design: Design, x_out: tuple, x_in: tuple) -> Design:
     return Design(support=support, k=design.k, model=design.model, info=info)
 
 
+def check_warm_start_points(space: ExperimentSpace, xs) -> None:
+    """Raise ValueError naming the first of the experiments ``xs`` outside ``space``."""
+    for x in xs:
+        if not space.contains(x):
+            raise ValueError(f"warm start point {list(x)} is not in the experiment space")
+
+
 def run(
     instance: Instance,
     seed: int = 0,
@@ -215,11 +222,9 @@ def run(
         design = initial_design(instance, seed, pricer)
     else:
         design = warm_start
-        outside = [x for x in design.support if not instance.space.contains(x)]
         if design.k != instance.k:
             raise ValueError(f"warm start has k = {design.k}, the instance has k = {instance.k}")
-        if outside:
-            raise ValueError(f"warm start point {list(outside[0])} is not in the experiment space")
+        check_warm_start_points(instance.space, design.support)
         if design.info.rank < instance.p:
             raise ValueError(f"warm start has rank {design.info.rank} < p = {instance.p}")
     report = LocalSearchReport()

@@ -20,7 +20,7 @@ import numpy as np
 
 RNG_ALGORITHM = "pcg64"  # recorded in every emitted file for reproducibility
 DEFAULT_ENUM_CAP = 2**24  # membership tests one enumeration may run
-SAMPLE_BLOCK = 4096  # samples drawn and membership-tested together by ``draws``
+SAMPLE_BLOCK = 4096  # rows membership-tested together by ``draws`` and ``enumerate_space``
 RANDOM_DRAW_CAP = 100_000  # samples one ``random_feasible`` request may read
 
 
@@ -81,7 +81,6 @@ class ExperimentSpace:
         for row, rhs in rows:
             scale = math.lcm(rhs.denominator, *(c.denominator for c in row))
             int_rows.append((tuple(int(c * scale) for c in row), int(rhs * scale)))
-        object.__setattr__(self, "_int_rows", tuple(int_rows))
         # int64 is exact when no in-box row sum or right-hand side can reach
         # 2**62; larger rows fall back to Python integers.
         reach = max(
@@ -97,33 +96,26 @@ class ExperimentSpace:
         object.__setattr__(self, "_b_int", b)
 
     def contains(self, x: Sequence[int]) -> bool:
-        """Exact membership test (integer arithmetic on LCM-scaled rows)."""
-        if len(x) != self.d:
-            return False
-        x = x.tolist() if isinstance(x, np.ndarray) else list(x)
-        if any(int(xi) != xi for xi in x):
-            return False
-        if any(xi < 0 or xi >= self.L for xi in x):
-            return False
-        if self.fixed_first and x[0] != 1:
-            return False
-        x = [int(xi) for xi in x]
-        for row, rhs in self._int_rows:
-            if sum(c * xi for c, xi in zip(row, x)) > rhs:
-                return False
-        return True
+        """Exact membership of one experiment: a one-row call of ``feasible``."""
+        X = np.asarray([x])
+        return X.shape == (1, self.d) and bool(self.feasible(X)[0])
 
     def feasible(self, X) -> np.ndarray:
         """Row-wise exact membership of X, shape (n, d) -> bool[n].
 
-        Agrees with ``contains`` on every row.
+        The package's one membership kernel: the box, integrality, the pinned
+        first factor, and the LCM-scaled integer rows.
         """
         X = np.asarray(X)
         if X.ndim != 2 or X.shape[1] != self.d:
             raise ValueError(f"expected shape (n, {self.d}), got {X.shape}")
         ok = np.all((X >= 0) & (X < self.L), axis=1)
         if X.dtype.kind not in "iu":
-            ok &= np.all(X == np.floor(X), axis=1)
+            # rows outside the box are rejected already; zeroed, they cannot
+            # overflow the cast (floats or Python ints beyond int64)
+            X = np.where(ok[:, None], X, 0)
+            ok &= np.all(X % 1 == 0, axis=1)
+            X = X.astype(np.int64)
         if self.fixed_first:
             ok &= X[:, 0] == 1
         if self._A_int.shape[0]:
@@ -152,39 +144,26 @@ class ExperimentSpace:
         b = np.array([float(rhs) for _, rhs in self.constraints])
         return A, b
 
-    def count_grid(self) -> int:
-        """Size of the level box before side constraints."""
-        if self.fixed_first:
-            return self.L ** (self.d - 1)
-        return self.L**self.d
-
-
 def random_feasible(draws, count: int) -> list:
     """The next ``count`` feasible samples of ``draws``, fewer if RANDOM_DRAW_CAP samples run out."""
     return list(islice((x for x in islice(draws, RANDOM_DRAW_CAP) if x is not None), count))
 
 
 def enumerate_space(space: ExperimentSpace) -> np.ndarray:
-    """All feasible experiments in lexicographic order, shape (n, d)."""
-    if space.L**space.d > DEFAULT_ENUM_CAP:
-        raise EnumerationCapError(
-            f"{space.L ** space.d} membership tests exceed cap {DEFAULT_ENUM_CAP}"
-        )
-    grid = space.count_grid()
-    free = space.d - 1 if space.fixed_first else space.d
-    # lexicographic order over the free coordinates, most significant first
-    idx = np.arange(grid)
-    digits = np.zeros((grid, free), dtype=np.int64)
-    for j in range(free - 1, -1, -1):
-        digits[:, j] = idx % space.L
-        idx //= space.L
-    if space.fixed_first:
-        X = np.concatenate([np.ones((grid, 1), dtype=np.int64), digits], axis=1)
-    else:
-        X = digits
-    if space.constraints:
-        X = X[space.feasible(X)]
-    return X
+    """All feasible experiments in lexicographic order, shape (n, d).
+
+    The level box is generated SAMPLE_BLOCK rows at a time and each block is
+    filtered by ``feasible``, so memory follows the feasible set.
+    """
+    size = space.L**space.d
+    if size > DEFAULT_ENUM_CAP:
+        raise EnumerationCapError(f"{size} membership tests exceed cap {DEFAULT_ENUM_CAP}")
+    blocks = []
+    for start in range(0, size, SAMPLE_BLOCK):
+        idx = np.arange(start, min(start + SAMPLE_BLOCK, size))
+        X = np.stack(np.unravel_index(idx, (space.L,) * space.d), axis=1)
+        blocks.append(X[space.feasible(X)])
+    return np.concatenate(blocks)
 
 
 @dataclass(frozen=True)

@@ -74,14 +74,14 @@ def quad_values(G: np.ndarray, P: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", P @ G, P)
 
 
-def _screen(G: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _screen(G: np.ndarray, P: np.ndarray, sums2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper bounds on ``quad_value`` of every row of P.
 
-    P >= 0, so gmax * (sum p)^2 bounds p^T |G| p, and the batched and scalar
-    values differ by far less than 1e-9 of that bound.
+    P >= 0, so gmax * sums2, with sums2 = (sum p)^2 per row, bounds p^T |G| p,
+    and the batched and scalar values differ by far less than 1e-9 of that.
     """
     vals = quad_values(G, P)
-    slack = 1e-9 * np.abs(G).max() * P.sum(axis=1) ** 2
+    slack = 1e-9 * np.abs(G).max() * sums2
     return vals - slack, vals + slack
 
 
@@ -119,7 +119,7 @@ def _first_improvement(
     if not X.shape[0]:
         return None, value, 0
     P = model.evaluate_many(X).astype(float)
-    _, upper = _screen(G, P)
+    _, upper = _screen(G, P, P.sum(axis=1) ** 2)
     for m in np.flatnonzero(upper > value):
         cand = quad_value(G, P[m])
         if cand > value:
@@ -157,11 +157,11 @@ def heuristic_search(
             return PricingResult(x=x, value=value, exact=False, nodes=evals)
 
 
-def _best_row(G: np.ndarray, X: np.ndarray, P: np.ndarray) -> PricingResult:
+def _best_row(G: np.ndarray, X: np.ndarray, P: np.ndarray, sums2: np.ndarray) -> PricingResult:
     """Exact optimum over X (points P): the first maximum of ``quad_value`` on screened rows."""
     if X.shape[0] == 0:
         raise EmptySpaceError("feasible set is empty")
-    lower, upper = _screen(G, P)
+    lower, upper = _screen(G, P, sums2)
     rows = np.flatnonzero(upper >= lower.max())
     vals = [quad_value(G, P[i]) for i in rows]
     best = int(np.argmax(vals))
@@ -171,7 +171,8 @@ def _best_row(G: np.ndarray, X: np.ndarray, P: np.ndarray) -> PricingResult:
 def solve_enum(G: np.ndarray, space: ExperimentSpace, model: MonomialModel) -> PricingResult:
     """Exact optimum by enumeration; ties go to the lexicographically smallest x."""
     X = enumerate_space(space)
-    return _best_row(G, X, model.evaluate_many(X).astype(float))
+    P = model.evaluate_many(X).astype(float)
+    return _best_row(G, X, P, P.sum(axis=1) ** 2)
 
 
 # --------------------------------------------------------------------------
@@ -370,8 +371,8 @@ def solve_bb(
     with a lexicographically smaller x, as enumeration decides.  With a
     finite ``target``, returns early (exact=False) as soon as a point with
     value > target is known; this is all a local-search improving move
-    needs.  More than ``node_limit`` nodes also ends the search with
-    exact=False, or raises NodeLimitError when no point is known yet.
+    needs.  ``nodes`` counts node LPs; ``node_limit`` of them with nodes left
+    end the search with exact=False, or NodeLimitError if no point is known.
     """
     lin = build_linearization(G, space, model)
 
@@ -390,12 +391,12 @@ def solve_bb(
     nodes = 0
     neg_c = -lin.c
     while stack:
-        bounds = stack.pop()
-        nodes += 1
-        if nodes > node_limit:
+        if nodes >= node_limit:
             if best_x is None:
                 raise NodeLimitError("node limit hit before any feasible point was found")
             return PricingResult(x=best_x, value=best_val, exact=False, nodes=nodes)
+        bounds = stack.pop()
+        nodes += 1
         res = linprog(neg_c, A_ub=lin.A_ub, b_ub=lin.b_ub, bounds=bounds, method="highs")
         if res.status != 0:
             continue  # infeasible subproblem
@@ -438,9 +439,10 @@ class Pricer:
     node_limit: int = DEFAULT_NODE_LIMIT
 
     @cached_property
-    def _enumeration(self) -> tuple[np.ndarray, np.ndarray]:
+    def _enumeration(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         X = enumerate_space(self.space)
-        return X, self.model.evaluate_many(X).astype(float)
+        P = self.model.evaluate_many(X).astype(float)
+        return X, P, P.sum(axis=1) ** 2
 
     def heuristic(self, G: np.ndarray, start: np.ndarray) -> PricingResult:
         return heuristic_search(G, self.space, self.model, start)

@@ -273,11 +273,13 @@ def column_generation(
     Violating and random columns are added each round, the support is
     sparsified in primal mode when it exceeds ceil(p^2 / 3), and the solver
     switches permanently to dual-only mode once the master stalls below a
-    relative improvement of gamma.  Every master solves to the epsilon
-    leverage test and restarts from the previous weights with new columns at
-    weight 0, so the master objective does not fall.  The returned design is
-    sparsified to at most C(p,2) + p + 1 points; its moment matrix, and so the
-    certificate, is unchanged.
+    relative improvement of gamma, tested only when gamma max(1, |obj|) >=
+    p epsilon, the least change an epsilon-accurate master resolves (at the
+    defaults, only once |obj| >= 100 p).  Every master solves to the epsilon leverage test and
+    restarts from the previous weights with new columns at weight 0, so the
+    master objective does not fall.  The returned design is sparsified to at
+    most C(p,2) + p + 1 points of positive weight; its moment matrix, and so
+    the certificate, is unchanged.
     """
     if pricer is None:
         pricer = Pricer(instance.space, instance.model)
@@ -309,8 +311,9 @@ def column_generation(
                 final = DualCertificate(
                     Lambda=cert.Lambda, nu=alpha, k=k, feasible_for="full"
                 )
-                sparsified = len(cd.xs) > support_bound(p)
-                if sparsified:  # dual mode adds columns without sparsifying
+                # dual mode adds columns unsparsified; a master can leave weights of 0
+                sparsified = len(cd.xs) > support_bound(p) or not np.all(cd.weights > 0)
+                if sparsified:
                     cd = sparsify(cd)
                 trace.append(_trace_row(it, cd, cert, alpha, mode, sparsified, True))
                 return cd, final, trace
@@ -341,7 +344,9 @@ def column_generation(
         trace.append(_trace_row(it, cd, cert, alpha, mode, sparsified, ip_solved))
         if mode == "primal":
             prev_obj, obj = trace[-2]["master_obj"], trace[-1]["master_obj"]
-            if (obj - prev_obj) / max(1.0, abs(prev_obj)) < params.gamma:
+            scale = max(1.0, abs(prev_obj))
+            resolvable = params.gamma * scale >= p * params.epsilon
+            if resolvable and (obj - prev_obj) / scale < params.gamma:
                 mode = "dual"
     raise ColumnGenerationError(
         f"no certificate within {CG_ITER_CAP} iterations"

@@ -93,15 +93,25 @@ def test_ls_soft_failure_exit_code(inst_path, monkeypatch):
          "warm start has rank 4 < p = 5"),
         ([("0000", 5), ("1100", 2), ("0010", 1), ("0001", 1), ("1000", 1)], 10,
          "warm start point [1, 1, 0, 0] is not in the experiment space"),
+        # coordinates are tested before any point is evaluated or truncated
+        ([("0000", 5), ("0100", 1), ("0010", 1), ("0001", 1), ([1, 0.5, 0, 0], 2)], 10,
+         "warm start point [1, 0.5, 0, 0] is not in the experiment space"),
+        ([("0000", 5), ("0100", 1), ("0010", 1), ("0001", 1), ([2**70, 0, 0, 0], 2)], 10,
+         f"warm start point [{2**70}, 0, 0, 0] is not in the experiment space"),
     ],
-    ids=["wrong-k", "rank-deficient", "infeasible-point"],
+    ids=["wrong-k", "rank-deficient", "infeasible-point", "fractional-coordinate",
+         "coordinate-beyond-int64"],
 )
 def test_ls_rejects_invalid_warm_start(tmp_path, capsys, points, k, message):
     inst = tmp_path / "card.json"
     run(["gen", "--variant", "cardinality", "--d", "4", "-o", str(inst)])
     warm = tmp_path / "warm.json"
     warm.write_text(json.dumps({
-        "points": [{"x": [int(c) for c in x], "lambda": m} for x, m in points], "k": k,
+        "points": [
+            {"x": [int(c) for c in x] if isinstance(x, str) else x, "lambda": m}
+            for x, m in points
+        ],
+        "k": k,
     }))
     capsys.readouterr()
     code = run(["ls", "--instance", str(inst), "--warm-start", str(warm)])

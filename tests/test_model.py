@@ -31,6 +31,7 @@ def test_contains_box_only():
     assert not space.contains((2, 0, 0))
     assert not space.contains((0, -1, 0))
     assert not space.contains((0, 0))
+    assert not space.contains("000")
 
 
 def test_contains_fixed_first():
@@ -102,8 +103,12 @@ def test_contains_feasible_and_enumerate_agree_on_rational_rows(d, L, fixed_firs
     member = [fraction_member(space, x) for x in grid]
     assert [space.contains(x) for x in grid] == member
     assert space.feasible(np.array(grid)).tolist() == member
-    got = [tuple(x) for x in M.enumerate_space(space)]
-    assert got == [x for x, ok in zip(grid, member) if ok]
+    for block in (1, 3, 7, M.SAMPLE_BLOCK):  # enumeration streams the box in blocks
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(M, "SAMPLE_BLOCK", block)
+            X = M.enumerate_space(space)
+        assert X.dtype == np.int64 and X.shape == (member.count(True), d)
+        assert [tuple(x) for x in X] == [x for x, ok in zip(grid, member) if ok]
 
 
 def test_enumerate_agrees_with_contains_just_below_integer_rhs():
@@ -128,6 +133,14 @@ def test_feasible_matches_contains_off_the_grid():
     assert space.feasible(np.array(X[:7])).tolist() == [space.contains(x) for x in X[:7]]
     with pytest.raises(ValueError):
         space.feasible(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("constraints", [(), (((1, 1), 2),)])
+def test_coordinates_beyond_int64_are_outside(constraints):
+    space = M.ExperimentSpace(d=2, L=3, constraints=constraints)
+    X = [(2**70, 0), (0, -(2**70)), (1, 1)]
+    assert [space.contains(x) for x in X] == [False, False, True]
+    assert space.feasible(np.array(X, dtype=object)).tolist() == [False, False, True]
 
 
 def test_integer_rows_scale_each_row_by_its_denominator_lcm():

@@ -218,8 +218,11 @@ def test_bb_target_minus_inf_returns_incumbent():
     assert list(res.x) == [0, 0, 0]
 
 
-def test_bb_node_limit_flags_soft_failure():
+def test_bb_node_limit_flags_soft_failure(monkeypatch):
     # seed chosen so the root LP is fractional and branching is required
+    lps = []
+    linprog = pricing.linprog
+    monkeypatch.setattr(pricing, "linprog", lambda *a, **kw: lps.append(1) or linprog(*a, **kw))
     rng = M.make_rng(3)
     space, mono = first_order_setting(6)
     G = random_sym(rng, mono.p)
@@ -230,6 +233,7 @@ def test_bb_node_limit_flags_soft_failure():
     res = pricing.solve_bb(G, space, mono, incumbent=inc, node_limit=1)
     assert not res.exact
     assert res.value >= inc.value
+    assert res.nodes == len(lps) == 1  # nodes counts the LPs solved
 
 
 @pytest.mark.parametrize("d,gen,bumps", [(5, 8, [0, 2, 0, 1, 0, 0]), (4, 45, [0, 0, 2, 1, 0])])

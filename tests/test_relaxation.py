@@ -241,19 +241,19 @@ def test_cg_master_is_monotone_and_gap_within_epsilon_bound(seeds, epsilon):
 
 
 def test_cg_returns_at_most_the_support_bound():
-    # near the optimum the stall test switches to dual mode, whose rounds add
-    # 2(p - 1)^2 random columns without sparsifying
+    # seed 82 ends on master weights of exactly 0, which the return drops; a
+    # forced gamma switches to dual mode, whose rounds add 2(p - 1)^2 random
+    # columns without sparsifying, so its return sparsifies
     inst = M.generate_cardinality_instance(9)
     pricer = Pricer(inst.space, inst.model)
-    final_sparsify = False
-    for seed in range(3):
-        cd, cert, trace = R.column_generation(inst, pricer, R.CGParams(seed=seed))
+    runs = [R.CGParams(seed=seed) for seed in (0, 1, 2, 82)] + [R.CGParams(seed=0, gamma=1e6)]
+    for params in runs:
+        cd, cert, trace = R.column_generation(inst, pricer, params)
         assert cert.feasible_for == "full"
         assert len(cd.xs) == trace[-1]["n_points"] <= R.support_bound(inst.p)
         assert np.all(cd.weights > 0) and cd.weights.sum() == pytest.approx(inst.k)
         assert cd.objective == pytest.approx(-np.linalg.slogdet(cert.Lambda)[1], abs=1e-9)
-        final_sparsify |= trace[-1]["sparsified"]
-    assert final_sparsify
+    assert trace[-1]["mode"] == "dual" and trace[-1]["sparsified"]
 
 
 def test_cg_iteration_cap_raises(monkeypatch):
