@@ -20,7 +20,10 @@ Check set:
     300 near-tie probes: G = I + 1e-13 diag(0..2 per entry) with G[0, 0] = 0,
         on cardinality or knapsack d=3..6, drawn from default_rng(0)
     inverse information matrices of random k-point designs on knapsack d=17,
-        generator seeds 0-2, design seeds 0-2
+        generator seeds 0-2, design seeds 0-2, and on second-order knapsack
+        d=17 (products of up to 4 bits), generator seeds 0, 2 and 3, design
+        seed 0 (generator seed 1 spans rank 45 < p = 46: no design has an
+        inverse information matrix)
 Per-part times go to stderr only.
 """
 
@@ -93,18 +96,26 @@ def near_tie_probes():
 
 
 def inverse_information():
-    for gen in range(3):
-        inst = M.generate_knapsack_instance(17, seed=gen)
-        for seed in range(3):
-            rng = np.random.default_rng([seed, gen])
-            while True:
-                X = rng.integers(0, inst.space.L, size=(8 * inst.k, inst.space.d))
-                X = X[inst.space.feasible(X)][: inst.k]
-                V = inst.model.evaluate_many(X).astype(float)
-                if len(X) == inst.k and np.linalg.matrix_rank(V) == inst.p:
-                    break
-            G = np.linalg.inv(V.T @ V)
-            yield f"inverse information knapsack d=17 gen={gen} seed={seed}", inst, 0.5 * (G + G.T), {}
+    for variant, gens, seeds in (("knapsack", (0, 1, 2), (0, 1, 2)),
+                                 ("second_order_knapsack", (0, 2, 3), (0,))):
+        for gen in gens:
+            inst = M.GENERATORS[variant](17, None, gen)
+            for seed in seeds:
+                name = f"inverse information {variant} d=17 gen={gen} seed={seed}"
+                yield name, inst, inverse_information_matrix(inst, seed), {}
+
+
+def inverse_information_matrix(inst, seed):
+    """Symmetrized inverse information matrix of a random full-rank k-point design."""
+    rng = np.random.default_rng([seed, inst.seed])
+    while True:
+        X = rng.integers(0, inst.space.L, size=(8 * inst.k, inst.space.d))
+        X = X[inst.space.feasible(X)][: inst.k]
+        V = inst.model.evaluate_many(X).astype(float)
+        if len(X) == inst.k and np.linalg.matrix_rank(V) == inst.p:
+            break
+    G = np.linalg.inv(V.T @ V)
+    return 0.5 * (G + G.T)
 
 
 def main() -> int:

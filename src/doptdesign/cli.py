@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, bench, local_search, model, relaxation
-from .pricing import DegenerateInstanceError, DoptError, Pricer
+from .pricing import DEFAULT_NODE_LIMIT, DegenerateInstanceError, DoptError, Pricer
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -196,7 +196,7 @@ def build_parser() -> _Parser:
     def common(p):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", "-o", default=None)
-        p.add_argument("--bb-nodes", type=int, default=10**6)
+        p.add_argument("--bb-nodes", type=int, default=DEFAULT_NODE_LIMIT)
 
     p = sub.add_parser("gen", help="generate an instance JSON")
     p.add_argument("--variant", choices=sorted(VARIANTS), required=True)

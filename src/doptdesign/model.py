@@ -136,13 +136,6 @@ class ExperimentSpace:
             for x, ok in zip(X.tolist(), self.feasible(X).tolist()):
                 yield tuple(x) if ok else None
 
-    def constraint_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Constraints as float arrays (A, b); empty arrays when unconstrained."""
-        if not self.constraints:
-            return np.zeros((0, self.d)), np.zeros(0)
-        A = np.array([[float(c) for c in row] for row, _ in self.constraints])
-        b = np.array([float(rhs) for _, rhs in self.constraints])
-        return A, b
 
 def random_feasible(draws, count: int) -> list:
     """The next ``count`` feasible samples of ``draws``, fewer if RANDOM_DRAW_CAP samples run out."""

@@ -1,9 +1,10 @@
 """Pricing problem: maximize p(x)^T G p(x) over the experiment space.
 
 Three routes share one interface: a bit-flip/bit-swap ascent, exhaustive
-enumeration, and an exact branch-and-bound over a linearization in which
-every multilinear bit product gets an auxiliary variable with its McCormick
-envelope.  Levels beyond two are binarized with ceil(log2 L) bits per factor.
+enumeration, and an exact branch-and-bound on the objective lifted to a
+multilinear polynomial over the factor bits, bounded by the positive part of
+its coefficients; no LP is solved.  Levels beyond two are binarized with
+ceil(log2 L) bits per factor.
 Every route reports ``quad_value(G, p(x))`` for the x it returns: batches are
 screened with ``quad_values`` plus a rounding slack, and ``quad_value`` decides
 among the rows kept, so neither value nor choice depends on the batch shape.
@@ -20,7 +21,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog  # noqa: F401  (unused here; perfbench/tracing.py patches pricing.linprog)
 
 from .model import ExperimentSpace, MonomialModel, enumerate_space
 from .model import EnumerationCapError  # noqa: F401  (re-exported)
@@ -28,9 +29,6 @@ from .model import EnumerationCapError  # noqa: F401  (re-exported)
 DEFAULT_NODE_LIMIT = 10**6
 # Boxes of at most this many points are priced by enumeration, larger ones by B&B
 ENUM_THRESHOLD = 2**16
-# Nodes whose LP bound is within this margin of the incumbent are still
-# explored, so LP solver tolerance can never prune the true optimum.
-BOUND_SAFETY = 1e-7
 # Sampled draws in a row without a rank gain before exact pricing takes over
 RANK_STALL = 8192
 
@@ -176,8 +174,13 @@ def solve_enum(G: np.ndarray, space: ExperimentSpace, model: MonomialModel) -> P
 
 
 # --------------------------------------------------------------------------
-# Linearization
+# Lift to bits
 # --------------------------------------------------------------------------
+
+
+def _place_values(nb: int) -> np.ndarray:
+    """Value of each of a factor's nb bits, high bit first."""
+    return 1 << np.arange(nb)[::-1]
 
 
 def _poly_mul(a: dict, b: dict) -> dict:
@@ -191,83 +194,64 @@ def _poly_mul(a: dict, b: dict) -> dict:
 
 @dataclass
 class LinearizedProgram:
-    """Integer linear reformulation of the pricing quadratic.
+    """The pricing objective lifted to a multilinear polynomial over factor bits.
 
-    Variables are the factor bits followed by one auxiliary variable per
-    distinct bit product of size >= 2.  Integer-feasible points are in
-    bijection with the experiment space.
+    Factor j takes bits ``j*nb .. j*nb + nb - 1``, high bit first, so bit
+    order is lexicographic order of x.  ``terms[t]`` lists the bits of term
+    t, padded with -1 (row 0 is the constant term, all -1), and ``coef[t]``
+    is its coefficient.  ``rows z <= rhs`` are the space's exact integer rows
+    in bit space and, when 2^nb > L, one row per factor excluding levels
+    >= L; with ``fixed_bits`` pinned, the integer points that satisfy them
+    are exactly the encoded experiments.
     """
 
     space: ExperimentSpace
     model: MonomialModel
     bits_per_factor: int
-    aux_index: dict = field(repr=False)
-    c: np.ndarray = field(repr=False)
-    c0: float = 0.0
-    A_ub: np.ndarray = field(default=None, repr=False)
-    b_ub: np.ndarray = field(default=None, repr=False)
+    terms: np.ndarray = field(repr=False)
+    coef: np.ndarray = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+    rhs: np.ndarray = field(repr=False)
     fixed_bits: dict = field(default_factory=dict)
 
     @property
     def n_bits(self) -> int:
         return self.space.d * self.bits_per_factor
 
-    @property
-    def n_vars(self) -> int:
-        return self.n_bits + len(self.aux_index)
-
-    def bit(self, factor: int, t: int) -> int:
-        return factor * self.bits_per_factor + t
-
     def decode_bits(self, z: np.ndarray) -> np.ndarray:
-        nb = self.bits_per_factor
-        x = np.zeros(self.space.d, dtype=np.int64)
-        for j in range(self.space.d):
-            for t in range(nb):
-                x[j] += int(round(z[self.bit(j, t)])) << t
-        return x
+        place = _place_values(self.bits_per_factor)
+        return np.asarray(z, dtype=np.int64).reshape(self.space.d, -1) @ place
 
     def encode(self, x: np.ndarray) -> np.ndarray:
-        nb = self.bits_per_factor
-        z = np.zeros(self.n_bits, dtype=np.int64)
-        for j, xj in enumerate(x):
-            for t in range(nb):
-                z[self.bit(j, t)] = (int(xj) >> t) & 1
-        return z
+        place = _place_values(self.bits_per_factor)
+        return ((np.asarray(x, dtype=np.int64)[:, None] // place) & 1).ravel()
 
     def objective_at_bits(self, z: np.ndarray) -> float:
-        """Objective at an integer bit vector, with auxiliaries at their products."""
-        full = np.zeros(self.n_vars)
-        full[: self.n_bits] = z
-        for F, col in self.aux_index.items():
-            full[col] = float(np.prod([z[b] for b in F]))
-        return self.c0 + float(self.c @ full)
+        """Objective at an integer bit vector: the sum of the terms whose bits are all 1."""
+        return float(self.coef @ np.append(z, 1)[self.terms].prod(axis=1))
 
 
 def build_linearization(
     G: np.ndarray, space: ExperimentSpace, model: MonomialModel
 ) -> LinearizedProgram:
-    """Lift the quadratic objective into a linear one over bits and products."""
+    """Lift p(x)^T G p(x) to a multilinear polynomial over the factor bits."""
     if model.order > 2:
         raise ValueError(f"model order {model.order} > 2 is unsupported")
-    d = space.d
-    nb = max(1, math.ceil(math.log2(space.L)))
-    n_bits = d * nb
-
-    def bit(j, t):
-        return j * nb + t
+    d, L = space.d, space.L
+    nb = max(1, math.ceil(math.log2(L)))
+    place = _place_values(nb)
 
     # monomial -> polynomial over bits with idempotent products
     monos = []
     for row in model.exponents:
         poly = {frozenset(): 1.0}
         for j, e in enumerate(row):
-            factor_poly = {frozenset([bit(j, t)]): float(2**t) for t in range(nb)}
+            factor_poly = {frozenset([j * nb + t]): float(v) for t, v in enumerate(place)}
             for _ in range(e):
                 poly = _poly_mul(poly, factor_poly)
         monos.append(poly)
 
-    obj: dict = {}
+    obj: dict = {frozenset(): 0.0}
     p = model.p
     for i in range(p):
         for j in range(i, p):
@@ -277,74 +261,30 @@ def build_linearization(
             for key, coeff in _poly_mul(monos[i], monos[j]).items():
                 obj[key] = obj.get(key, 0.0) + w * coeff
 
-    aux_index: dict = {}
-    for key in sorted((k for k in obj if len(k) >= 2), key=sorted):
-        aux_index[key] = n_bits + len(aux_index)
+    keys = sorted(obj, key=lambda key: (len(key), sorted(key)))
+    terms = np.full((len(keys), max(map(len, keys))), -1, dtype=np.int64)
+    for t, key in enumerate(keys):
+        terms[t, : len(key)] = sorted(key)
+    coef = np.array([obj[key] for key in keys])
 
-    n_vars = n_bits + len(aux_index)
-    c = np.zeros(n_vars)
-    c0 = obj.get(frozenset(), 0.0)
-    for key, coeff in obj.items():
-        if len(key) == 1:
-            (b,) = key
-            c[b] += coeff
-        elif len(key) >= 2:
-            c[aux_index[key]] += coeff
-
-    rows, rhs = [], []
-
-    def add_row(row, bound):
-        rows.append(row)
-        rhs.append(bound)
-
-    # McCormick hull of y = prod of bits in F
-    for F, col in aux_index.items():
-        members = sorted(F)
-        for b in members:
-            row = np.zeros(n_vars)
-            row[col] = 1.0
-            row[b] = -1.0
-            add_row(row, 0.0)  # y <= z_b
-        row = np.zeros(n_vars)
-        row[col] = -1.0
-        for b in members:
-            row[b] = 1.0
-        add_row(row, float(len(members) - 1))  # y >= sum z_b - |F| + 1
-
-    # side constraints A x <= b in bit space
-    A, b = space.constraint_arrays()
-    for m in range(A.shape[0]):
-        row = np.zeros(n_vars)
-        for j in range(d):
-            for t in range(nb):
-                row[bit(j, t)] = A[m, j] * (2**t)
-        add_row(row, float(b[m]))
-
-    # exclude levels >= L when the bit range overshoots
-    if 2**nb - 1 > space.L - 1:
-        for j in range(d):
-            row = np.zeros(n_vars)
-            for t in range(nb):
-                row[bit(j, t)] = float(2**t)
-            add_row(row, float(space.L - 1))
+    A, b = space._A_int, space._b_int
+    rows = (A[:, :, None] * place).reshape(A.shape[0], d * nb)
+    rhs = b
+    if 2**nb > L:  # exclude levels >= L
+        rows = np.concatenate([rows, np.kron(np.eye(d, dtype=np.int64), place)])
+        rhs = np.concatenate([rhs, np.full(d, L - 1, dtype=np.int64)])
 
     fixed_bits = {}
     if space.fixed_first:
-        fixed_bits[bit(0, 0)] = 1
-        for t in range(1, nb):
-            fixed_bits[bit(0, t)] = 0
-
-    A_ub = np.array(rows) if rows else np.zeros((0, n_vars))
-    b_ub = np.array(rhs)
+        fixed_bits = {t: int(t == nb - 1) for t in range(nb)}  # x_0 = 1
     return LinearizedProgram(
         space=space,
         model=model,
         bits_per_factor=nb,
-        aux_index=aux_index,
-        c=c,
-        c0=c0,
-        A_ub=A_ub,
-        b_ub=b_ub,
+        terms=terms,
+        coef=coef,
+        rows=rows,
+        rhs=rhs,
         fixed_bits=fixed_bits,
     )
 
@@ -352,6 +292,19 @@ def build_linearization(
 # --------------------------------------------------------------------------
 # Branch and bound
 # --------------------------------------------------------------------------
+
+
+def _merge_groups(terms: np.ndarray, n_bits: int) -> list[np.ndarray]:
+    """Per depth k, the index of each term's merged term once bits < k are fixed.
+
+    Terms whose free bits (those >= k) coincide merge; group 0 is the
+    constant, the terms with no free bit.
+    """
+    groups = []
+    for k in range(n_bits + 1):
+        free = np.sort(np.where(terms >= k, terms, -1), axis=1)
+        groups.append(np.unique(free, axis=0, return_inverse=True)[1].ravel())
+    return groups
 
 
 def solve_bb(
@@ -362,17 +315,26 @@ def solve_bb(
     target: Optional[float] = None,
     node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> PricingResult:
-    """Exact branch-and-bound on the linearized program.
+    """Exact branch-and-bound on the lifted polynomial, without LPs.
 
-    A node is its (n_vars, 2) array of variable bounds, passed to the LP as
-    is: the root pins ``fixed_bits``, and each child copies its parent and
-    pins the most fractional free bit, child 1 explored first.  A leaf's
-    point replaces the incumbent when its ``quad_value`` is larger, or equal
+    A node is its (n_bits, 2) array of bit bounds.  The root pins
+    ``fixed_bits``; each child copies its parent and pins its first free
+    bit, child 0 explored first.  Bits are numbered factor by factor, high
+    bit first, so the fixed bits of a node are a prefix, and leaves are
+    reached in lexicographic order of x.  A node is dropped when some integer
+    row cannot be met: sum(r+ lo) + sum(r- hi) > rhs, in exact integers.
+    Otherwise its bound is the polynomial with the fixed bits substituted and
+    the terms with equal free bits merged: the constant plus the positive
+    merged coefficients, valid for any symmetric G.  It is pruned only when
+    bound + 1e-9 * sum(|coef|) < incumbent, a rounding slack, so every point
+    that ties or beats the incumbent is reached.  A leaf's point, if in the
+    space, replaces the incumbent when its ``quad_value`` is larger, or equal
     with a lexicographically smaller x, as enumeration decides.  With a
     finite ``target``, returns early (exact=False) as soon as a point with
     value > target is known; this is all a local-search improving move
-    needs.  ``nodes`` counts node LPs; ``node_limit`` of them with nodes left
-    end the search with exact=False, or NodeLimitError if no point is known.
+    needs.  ``nodes`` counts bounds computed; ``node_limit`` of them with
+    nodes left end the search with exact=False, or NodeLimitError if no
+    point is known.
     """
     lin = build_linearization(G, space, model)
 
@@ -384,36 +346,39 @@ def solve_bb(
     if target is not None and best_val > target:
         return PricingResult(x=best_x, value=best_val, exact=False, nodes=0)
 
-    root = np.tile([0.0, 1.0], (lin.n_vars, 1))
+    n = lin.n_bits
+    groups = _merge_groups(lin.terms, n)
+    slack = 1e-9 * np.abs(lin.coef).sum()
+    pos = np.where(lin.rows > 0, lin.rows, 0)
+    neg = lin.rows - pos
+    root = np.tile(np.array([0, 1], dtype=np.int64), (n, 1))
     for b, v in lin.fixed_bits.items():
         root[b] = v
     stack = [root]
     nodes = 0
-    neg_c = -lin.c
     while stack:
         if nodes >= node_limit:
             if best_x is None:
                 raise NodeLimitError("node limit hit before any feasible point was found")
             return PricingResult(x=best_x, value=best_val, exact=False, nodes=nodes)
-        bounds = stack.pop()
-        nodes += 1
-        res = linprog(neg_c, A_ub=lin.A_ub, b_ub=lin.b_ub, bounds=bounds, method="highs")
-        if res.status != 0:
-            continue  # infeasible subproblem
-        bound = lin.c0 - res.fun
-        if best_x is not None and bound <= best_val - BOUND_SAFETY * max(1.0, abs(bound)):
+        node = stack.pop()
+        lo, hi = node[:, 0], node[:, 1]
+        if np.any(pos @ lo + neg @ hi > lin.rhs):
             continue
-        z = res.x[: lin.n_bits]
-        free = bounds[: lin.n_bits, 0] < bounds[: lin.n_bits, 1]
-        frac = np.where(free, np.abs(z - np.round(z)), 0.0)
-        branch_bit = int(np.argmax(frac))
-        if frac[branch_bit] > 1e-6:
-            for v in (0.0, 1.0):
-                child = bounds.copy()
-                child[branch_bit] = v
+        nodes += 1
+        depth = n - int(np.count_nonzero(lo < hi))
+        alive = np.append(hi, 1)[lin.terms].all(axis=1)  # no bit of the term fixed to 0
+        merged = np.bincount(groups[depth], np.where(alive, lin.coef, 0.0))
+        bound = merged[0] + np.maximum(merged[1:], 0.0).sum()
+        if bound + slack < best_val:
+            continue
+        if depth < n:
+            for v in (1, 0):
+                child = node.copy()
+                child[depth] = v
                 stack.append(child)
             continue
-        x = lin.decode_bits(np.round(z))
+        x = lin.decode_bits(lo)
         if not space.contains(x):
             continue
         value = quad_value(G, model.evaluate(x))

@@ -147,6 +147,11 @@ def solve_restricted_master(
 
 def dual_from_primal(cd: ContinuousDesign) -> DualCertificate:
     """Closed-form restricted dual: Lambda = M^{-1}, nu = max leverage."""
+    return _dual_and_leverages(cd)[0]
+
+
+def _dual_and_leverages(cd: ContinuousDesign) -> tuple[DualCertificate, np.ndarray]:
+    """``dual_from_primal`` and the stored points' leverages it takes nu from."""
     M = cd.moment
     sign, _ = np.linalg.slogdet(M)
     if sign <= 0:
@@ -154,7 +159,7 @@ def dual_from_primal(cd: ContinuousDesign) -> DualCertificate:
     Lambda = np.linalg.inv(M)
     Lambda = 0.5 * (Lambda + Lambda.T)
     lev = quad_values(Lambda, cd.points)
-    return DualCertificate(Lambda=Lambda, nu=float(lev.max()), k=cd.k)
+    return DualCertificate(Lambda=Lambda, nu=float(lev.max()), k=cd.k), lev
 
 
 def check_dual_feasibility(
@@ -277,9 +282,11 @@ def column_generation(
     p epsilon, the least change an epsilon-accurate master resolves (at the
     defaults, only once |obj| >= 100 p).  Every master solves to the epsilon leverage test and
     restarts from the previous weights with new columns at weight 0, so the
-    master objective does not fall.  The returned design is sparsified to at
-    most C(p,2) + p + 1 points of positive weight; its moment matrix, and so
-    the certificate, is unchanged.
+    master objective does not fall.  The returned design drops the points of
+    weight at most SPARSIFY_TOL k/n (n points stored), which moves its weights
+    by at most SPARSIFY_TOL k in all, and is sparsified to at most
+    C(p,2) + p + 1 points with its moment matrix unchanged; the certificate
+    is unchanged.
     """
     if pricer is None:
         pricer = Pricer(instance.space, instance.model)
@@ -291,13 +298,12 @@ def column_generation(
     points = model.evaluate_many(np.array(xs)).astype(float)
 
     cd = solve_restricted_master(xs, points, k, tol=params.epsilon)
-    cert = dual_from_primal(cd)
+    cert, lev = _dual_and_leverages(cd)
     mode = "primal"
     trace = [_trace_row(0, cd, cert, None, mode, False, False)]
 
     for it in range(1, CG_ITER_CAP + 1):
         # heuristic pricing from the currently most violated stored experiment
-        lev = quad_values(cert.Lambda, cd.points)
         start = np.array(cd.xs[int(np.argmax(lev))])
         hres = pricer.heuristic(cert.Lambda, start)
         ip_solved = False
@@ -311,10 +317,15 @@ def column_generation(
                 final = DualCertificate(
                     Lambda=cert.Lambda, nu=alpha, k=k, feasible_for="full"
                 )
-                # dual mode adds columns unsparsified; a master can leave weights of 0
-                sparsified = len(cd.xs) > support_bound(p) or not np.all(cd.weights > 0)
+                # dual mode adds columns unsparsified; a master drives the
+                # weights of leaving points toward 0, and drops none of them
+                keep = np.flatnonzero(cd.weights > SPARSIFY_TOL * k / len(cd.xs))
+                sparsified = len(cd.xs) > support_bound(p) or len(keep) < len(cd.xs)
                 if sparsified:
-                    cd = sparsify(cd)
+                    cd = sparsify(ContinuousDesign(
+                        xs=[cd.xs[i] for i in keep], points=cd.points[keep],
+                        weights=cd.weights[keep], k=k,
+                    ))
                 trace.append(_trace_row(it, cd, cert, alpha, mode, sparsified, True))
                 return cd, final, trace
             entering = tuple(int(t) for t in x_star)
@@ -340,7 +351,7 @@ def column_generation(
         )
         w0 = np.concatenate([cd.weights, np.zeros(len(new_xs))])
         cd = solve_restricted_master(xs, points, k, tol=params.epsilon, weights0=w0)
-        cert = dual_from_primal(cd)
+        cert, lev = _dual_and_leverages(cd)
         trace.append(_trace_row(it, cd, cert, alpha, mode, sparsified, ip_solved))
         if mode == "primal":
             prev_obj, obj = trace[-2]["master_obj"], trace[-1]["master_obj"]

@@ -1,11 +1,12 @@
 """Pricing problem: heuristic ascent, enumeration, exact branch-and-bound, and
 the rank completion that local search and column generation start from."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from doptdesign import local_search as LS
@@ -135,8 +136,11 @@ def test_linearization_three_levels_uses_two_bits():
     G = np.eye(3)
     lin = pricing.build_linearization(G, space, mono)
     assert lin.bits_per_factor == 2
-    # the bit range {0..3} overshoots L-1 = 2, so level-exclusion rows exist
-    assert lin.A_ub.shape[0] >= 2
+    # the bit range {0..3} overshoots L-1 = 2: one level-exclusion row per factor
+    assert lin.rows.shape == (2, 4)
+    for z in itertools.product((0, 1), repeat=4):
+        z = np.array(z)
+        assert np.all(lin.rows @ z <= lin.rhs) == space.contains(lin.decode_bits(z))
     for x in M.enumerate_space(space):
         z = lin.encode(x)
         assert np.array_equal(lin.decode_bits(z), np.asarray(x))
@@ -147,20 +151,6 @@ def test_linearization_rejects_higher_order():
     space = M.ExperimentSpace(d=2, L=2)
     with pytest.raises(ValueError):
         pricing.build_linearization(np.eye(1), space, mono)
-
-
-def test_mccormick_rows_valid_at_integer_points():
-    rng = M.make_rng(13)
-    mono = M.build_second_order_pairs(4)
-    space = M.ExperimentSpace(d=4, L=2)
-    lin = pricing.build_linearization(random_sym(rng, mono.p), space, mono)
-    for x in M.enumerate_space(space):
-        z = lin.encode(x)
-        full = np.zeros(lin.n_vars)
-        full[: lin.n_bits] = z
-        for F, col in lin.aux_index.items():
-            full[col] = np.prod([z[b] for b in F])
-        assert np.all(lin.A_ub @ full <= lin.b_ub + 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +208,7 @@ def test_bb_target_minus_inf_returns_incumbent():
     assert list(res.x) == [0, 0, 0]
 
 
-def test_bb_node_limit_flags_soft_failure(monkeypatch):
-    # seed chosen so the root LP is fractional and branching is required
-    lps = []
-    linprog = pricing.linprog
-    monkeypatch.setattr(pricing, "linprog", lambda *a, **kw: lps.append(1) or linprog(*a, **kw))
+def test_bb_node_limit_flags_soft_failure():
     rng = M.make_rng(3)
     space, mono = first_order_setting(6)
     G = random_sym(rng, mono.p)
@@ -230,10 +216,13 @@ def test_bb_node_limit_flags_soft_failure(monkeypatch):
     inc = pricing.PricingResult(
         x=x0, value=pricing.quad_value(G, mono.evaluate(x0)), exact=False, nodes=0
     )
-    res = pricing.solve_bb(G, space, mono, incumbent=inc, node_limit=1)
-    assert not res.exact
-    assert res.value >= inc.value
-    assert res.nodes == len(lps) == 1  # nodes counts the LPs solved
+    full = pricing.solve_bb(G, space, mono, incumbent=inc)
+    assert full.exact and full.nodes > 3
+    for limit in (1, 3):
+        res = pricing.solve_bb(G, space, mono, incumbent=inc, node_limit=limit)
+        assert not res.exact
+        assert res.value >= inc.value
+        assert res.nodes == limit  # nodes counts the bounds computed
 
 
 @pytest.mark.parametrize("d,gen,bumps", [(5, 8, [0, 2, 0, 1, 0, 0]), (4, 45, [0, 0, 2, 1, 0])])
@@ -283,9 +272,9 @@ def test_pricer_dispatches_to_bb_when_large(monkeypatch):
 
 
 @st.composite
-def small_instances(draw):
+def small_instances(draw, max_level=3):
     d = draw(st.integers(2, 5))
-    L = draw(st.integers(2, 3))
+    L = draw(st.integers(2, max_level))
     coef = st.fractions(min_value=-3, max_value=3, max_denominator=3)
     rows = draw(
         st.lists(st.tuples(st.lists(coef, min_size=d, max_size=d), coef), max_size=2)
@@ -458,3 +447,43 @@ def test_pricer_enumerates_once_and_matches_solve_enum(inst, seed, n_prices):
             for name in calls:
                 pricer_calls[name] += calls[name] - before[name]
     assert pricer_calls == {"enumerate_space": 1, "evaluate_many": 1}
+
+
+# ---------------------------------------------------------------------------
+# Branch and bound equals enumeration
+# ---------------------------------------------------------------------------
+
+
+@given(inst=small_instances(max_level=4), near_tie=st.booleans(), seed=st.integers(0, 2**16))
+@example(inst=M.generate_knapsack_instance(3, seed=4), near_tie=True, seed=0)  # a value below
+@example(inst=M.generate_knapsack_instance(4, seed=7), near_tie=True, seed=3)  # another x, equal
+@settings(max_examples=100, deadline=None)
+def test_bb_equals_enum_bit_for_bit(inst, near_tie, seed):
+    rng = M.make_rng(seed)
+    if near_tie:  # points that differ by about 1e-13 relative
+        G = np.eye(inst.p) + 1e-13 * np.diag(rng.integers(0, 3, size=inst.p))
+        G[0, 0] = 0.0
+    else:
+        G = random_sym(rng, inst.p)
+    try:
+        want = pricing.solve_enum(G, inst.space, inst.model)
+    except pricing.EmptySpaceError:
+        with pytest.raises(pricing.EmptySpaceError):
+            pricing.solve_bb(G, inst.space, inst.model)
+        return
+    got = pricing.solve_bb(G, inst.space, inst.model)
+    assert (got.x.tolist(), got.value, got.exact) == (want.x.tolist(), want.value, True)
+
+
+def test_bb_route_equals_enumeration_route_at_knapsack_d17(monkeypatch):
+    inst = M.generate_knapsack_instance(17, seed=0)
+    X = M.enumerate_space(inst.space)
+    rows = M.make_rng(0).choice(len(X), size=inst.k, replace=False)
+    V = inst.model.evaluate_many(X[rows]).astype(float)
+    G = np.linalg.inv(V.T @ V)
+    G = 0.5 * (G + G.T)
+    bb = pricing.Pricer(inst.space, inst.model).exact(G)  # a box of 2^17 > ENUM_THRESHOLD
+    monkeypatch.setattr(pricing, "ENUM_THRESHOLD", 2**17)
+    enum = pricing.Pricer(inst.space, inst.model).exact(G)
+    assert enum.nodes == len(X)  # the enumeration route scores every point
+    assert (bb.x.tolist(), bb.value, bb.exact) == (enum.x.tolist(), enum.value, True)

@@ -256,6 +256,21 @@ def test_cg_returns_at_most_the_support_bound():
     assert trace[-1]["mode"] == "dual" and trace[-1]["sparsified"]
 
 
+def test_cg_returns_no_point_of_negligible_weight():
+    # the master drives leaving weights toward 0 without reaching it: seeds 0
+    # and 1 ended with 7 and 8 points below SPARSIFY_TOL k/n before the return
+    # dropped them
+    inst = M.generate_cardinality_instance(9)
+    pricer = Pricer(inst.space, inst.model)
+    for seed in (0, 1):
+        cd, cert, trace = R.column_generation(inst, pricer, R.CGParams(seed=seed))
+        stored = trace[-2]["n_points"]  # the last master, before the return
+        assert cd.weights.min() > R.SPARSIFY_TOL * inst.k / stored
+        assert len(cd.xs) == trace[-1]["n_points"] < stored and trace[-1]["sparsified"]
+        assert cd.weights.sum() == pytest.approx(inst.k)
+        assert cd.objective == pytest.approx(-np.linalg.slogdet(cert.Lambda)[1], abs=1e-9)
+
+
 def test_cg_iteration_cap_raises(monkeypatch):
     monkeypatch.setattr(R, "CG_ITER_CAP", 0)
     inst = M.generate_knapsack_instance(8, seed=82)
